@@ -24,8 +24,6 @@ from .monoids import (
     Monoid,
     common_divisors,
     divisors,
-    enumerate_up_to,
-    mul,
     try_divide,
 )
 
@@ -194,23 +192,33 @@ def euclid_lemma_survey(monoid: Monoid, bound: int, *,
 
     Only p, a and b are bounded; the product a*b is tested directly even
     when its norm exceeds the bound.  Reports the first failing triple in
-    (p, a, b) order, or holds with no witnesses.
+    (p, a, b) order, or holds with no witnesses.  Only b >= a is
+    scanned: a*b = b*a, so (b, a) tests the same product as (a, b), and
+    the first failing triple of the full scan has b >= a, since otherwise
+    its mirror (p, b, a) would fail and come earlier.
     """
     table = DivisibilityTable(monoid, bound, ceiling=ceiling)
-    elems = table.elements
+    return _euclid_lemma_flag(table)
+
+
+def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
+    """Euclid's lemma over the table, on raw parts; see euclid_lemma_survey."""
+    monoid = table.monoid
+    mul_parts, divide_parts = monoid._mul_parts, monoid._try_divide_parts
+    elems, div_ids = table.elements, table.divisor_ids
     n = len(elems)
     for pi in range(n):
         if not table.is_irreducible(pi):
             continue
-        p = elems[pi]
-        coprime = [i for i in range(n) if not table.divides(pi, i)]
-        for ai in coprime:
-            a = elems[ai]
-            for bi in coprime:
-                product = a * elems[bi]
-                if try_divide(product, p) is not None:
+        p = elems[pi].parts
+        coprime = [elems[i].parts for i in range(n) if pi not in div_ids[i]]
+        for j, a in enumerate(coprime):
+            for b in coprime[j:]:
+                product = mul_parts(a, b)
+                if divide_parts(product, p) is not None:
                     witness = EuclidLemmaWitness(
-                        irreducible=p, a=a, b=elems[bi], product=product)
+                        irreducible=elems[pi], a=Element(monoid, a),
+                        b=Element(monoid, b), product=Element(monoid, product))
                     return PropertyFlag(holds=False, witnesses=(witness,))
     return PropertyFlag(holds=True)
 
@@ -219,60 +227,57 @@ def _gcd_existence_flag(table: DivisibilityTable) -> PropertyFlag:
     """Algebraic gcds for every pair of elements in the table."""
     elems = table.elements
     div_ids = table.divisor_ids
-    n = len(elems)
     failures = []
-    for ai in range(n):
-        for bi in range(ai, n):
-            common = div_ids[ai] & div_ids[bi]
-            if len(common) <= 2:
-                continue  # {identity} or {identity, u}: gcd clearly exists
-            maximal = [ui for ui in common
-                       if not any(vi != ui and ui in div_ids[vi]
-                                  for vi in common)]
-            if len(maximal) == 1:
-                g = maximal[0]
-                if all(ui in div_ids[g] for ui in common):
-                    continue
-            failures.append(GcdAbsenceWitness(
-                pair=(elems[ai], elems[bi]),
-                maximal=tuple(elems[ui] for ui in sorted(maximal))))
+    for ai, bi, common in table.pairs_without_gcd:
+        maximal = [ui for ui in common
+                   if not any(vi != ui and ui in div_ids[vi]
+                              for vi in common)]
+        failures.append(GcdAbsenceWitness(
+            pair=(elems[ai], elems[bi]),
+            maximal=tuple(elems[ui] for ui in maximal)))
     return PropertyFlag(holds=not failures, witnesses=tuple(failures))
+
+
+def _factorization_ids(table: DivisibilityTable) -> list[tuple[tuple[int, ...], ...]]:
+    """Each element's ``factorizations``, as sorted index tuples in
+    increasing order, read off the table's quotients.  Index order is
+    element order: the table is sorted by norm, and norms are distinct.
+    """
+    n = len(table.elements)
+    irreducible = [table.is_irreducible(i) for i in range(n)]
+    memo: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+    def descend(xi: int, floor: int) -> tuple[tuple[int, ...], ...]:
+        if xi == 0:  # the identity: empty product only
+            return ((),)
+        key = (xi, floor)
+        if key in memo:
+            return memo[key]
+        out = []
+        for pi in sorted(table.divisor_ids[xi]):
+            if pi < floor or not irreducible[pi]:
+                continue
+            out.extend((pi,) + tail
+                       for tail in descend(table.quotient[(xi, pi)], pi))
+        memo[key] = tuple(out)
+        return memo[key]
+
+    return [descend(xi, 0) for xi in range(n)]
 
 
 def _count_factorizations(table: DivisibilityTable) -> list[int]:
     """Number of irreducible multisets with each element as product."""
-    n = len(table.elements)
-    irreducible = [table.is_irreducible(i) for i in range(n)]
-    memo: dict[tuple[int, int], int] = {}
-
-    def count(xi: int, floor: int) -> int:
-        if xi == 0:  # the identity: empty product only
-            return 1
-        key = (xi, floor)
-        if key in memo:
-            return memo[key]
-        total = 0
-        for pi in sorted(table.divisor_ids[xi]):
-            if pi < floor or not irreducible[pi]:
-                continue
-            total += count(table.quotient[(xi, pi)], pi)
-        memo[key] = total
-        return total
-
-    return [count(xi, 0) for xi in range(n)]
+    return [len(fs) for fs in _factorization_ids(table)]
 
 
-def _unique_factorization_flag(table: DivisibilityTable, *,
-                               ceiling: int | None = None) -> PropertyFlag:
-    counts = _count_factorizations(table)
-    failures = []
-    for xi, c in enumerate(counts):
-        if c > 1:
-            x = table.elements[xi]
-            all_fs = factorizations(x, ceiling=ceiling)
-            failures.append(FactorizationWitness(
-                element=x,
-                factorizations=tuple(f.factors for f in all_fs)))
+def _unique_factorization_flag(table: DivisibilityTable) -> PropertyFlag:
+    elems = table.elements
+    failures = [FactorizationWitness(
+                    element=elems[xi],
+                    factorizations=tuple(tuple(elems[i] for i in fs)
+                                         for fs in all_fs))
+                for xi, all_fs in enumerate(_factorization_ids(table))
+                if len(all_fs) > 1]
     return PropertyFlag(holds=not failures, witnesses=tuple(failures))
 
 
@@ -284,17 +289,14 @@ def three_property_survey(monoid: Monoid, bound: int, *,
     algebraic gcds for all pairs, and uniqueness of factorization, all
     over elements of norm at most bound; Euclid's lemma rides along as a
     fourth, derived flag.  The report records the flags as found and
-    asserts nothing about their agreement.
+    asserts nothing about their agreement.  All flags read one table.
     """
-    from .proportion import transitivity_survey  # deferred: proportion imports us
+    from .proportion import _transitivity_flag  # deferred: proportion imports us
 
     table = DivisibilityTable(monoid, bound, ceiling=ceiling)
-    trans = transitivity_survey(monoid, bound, ceiling=ceiling)
     report = SurveyReport(monoid=monoid, bound=bound)
-    report.flags["pythagorean_transitive"] = trans.flags["pythagorean_transitive"]
+    report.flags["pythagorean_transitive"] = _transitivity_flag(table)
     report.flags["algebraic_gcds_exist"] = _gcd_existence_flag(table)
-    report.flags["unique_factorization"] = _unique_factorization_flag(
-        table, ceiling=ceiling)
-    report.flags["euclid_lemma"] = euclid_lemma_survey(
-        monoid, bound, ceiling=ceiling)
+    report.flags["unique_factorization"] = _unique_factorization_flag(table)
+    report.flags["euclid_lemma"] = _euclid_lemma_flag(table)
     return report

@@ -15,8 +15,9 @@ squaring, never by floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache, total_ordering
 from math import isqrt
 from typing import Iterator
 
@@ -58,11 +59,6 @@ def _sign_with_radical(x: int, y: int, d: int) -> int:
     return _sign(rhs - lhs)  # x < 0, y > 0: positive iff |x| < y*sqrt(d)
 
 
-def _floor_sqrt(n: int) -> int:
-    """floor(sqrt(n)) for n >= 0."""
-    return isqrt(n)
-
-
 def _ceil_sqrt(n: int) -> int:
     """ceil(sqrt(n)) for n >= 0."""
     if n <= 0:
@@ -71,6 +67,7 @@ def _ceil_sqrt(n: int) -> int:
     return r + 1
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Element:
     """A monoid element: an immutable parts tuple tagged with its monoid.
@@ -123,21 +120,6 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         return self._cmp(other) < 0
-
-    def __le__(self, other: "Element") -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "Element") -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "Element") -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._cmp(other) >= 0
 
     def render(self) -> str:
         """Canonical text form, e.g. ``42`` or ``3+8*sqrt(2)``."""
@@ -220,8 +202,34 @@ class Monoid:
         raise NotImplementedError
 
 
+class _ScalarMonoid(Monoid):
+    """Kernel shared by the one-part monoids: integers under multiplication."""
+
+    def _identity_parts(self):
+        return (1,)
+
+    def _mul_parts(self, p, q):
+        return (p[0] * q[0],)
+
+    def _norm_cmp_parts(self, p, q):
+        return _sign(p[0] - q[0])
+
+    def _bound_parts(self, bound):
+        if isinstance(bound, Element):
+            if bound.monoid != self:
+                raise MonoidMismatchError("bound element belongs to another monoid")
+            return bound.parts
+        return (_require_int(bound, "bound"),)
+
+    def _render_parts(self, p):
+        return str(p[0])
+
+    def _parts_payload(self, p):
+        return p[0]
+
+
 @dataclass(frozen=True)
-class Naturals(Monoid):
+class Naturals(_ScalarMonoid):
     """Positive integers under multiplication."""
 
     def spec_text(self) -> str:
@@ -235,27 +243,11 @@ class Naturals(Monoid):
             raise InvalidInputError(f"component must not be negative, got {n}")
         return n >= 1
 
-    def _identity_parts(self) -> tuple[int, ...]:
-        return (1,)
-
-    def _mul_parts(self, p, q):
-        return (p[0] * q[0],)
-
     def _try_divide_parts(self, b, a):
         quot, rem = divmod(b[0], a[0])
         if rem != 0 or quot < 1:
             return None
         return (quot,)
-
-    def _norm_cmp_parts(self, p, q):
-        return _sign(p[0] - q[0])
-
-    def _bound_parts(self, bound):
-        if isinstance(bound, Element):
-            if bound.monoid != self:
-                raise MonoidMismatchError("bound element belongs to another monoid")
-            return bound.parts
-        return (_require_int(bound, "bound"),)
 
     def _count_up_to(self, bound, ceiling):
         return bound[0]
@@ -264,15 +256,9 @@ class Naturals(Monoid):
         for n in range(1, bound[0] + 1):
             yield (n,)
 
-    def _render_parts(self, p):
-        return str(p[0])
-
-    def _parts_payload(self, p):
-        return p[0]
-
 
 @dataclass(frozen=True)
-class Congruence(Monoid):
+class Congruence(_ScalarMonoid):
     """``{n >= 1 : n = residue (mod modulus)}`` with 1 adjoined.
 
     Closure under multiplication needs ``residue**2 = residue (mod
@@ -315,12 +301,6 @@ class Congruence(Monoid):
             return True
         return n >= 1 and n % self.modulus == self.residue % self.modulus
 
-    def _identity_parts(self):
-        return (1,)
-
-    def _mul_parts(self, p, q):
-        return (p[0] * q[0],)
-
     def _try_divide_parts(self, b, a):
         quot, rem = divmod(b[0], a[0])
         if rem != 0 or quot < 1:
@@ -328,16 +308,6 @@ class Congruence(Monoid):
         if quot != 1 and quot % self.modulus != self.residue % self.modulus:
             return None
         return (quot,)
-
-    def _norm_cmp_parts(self, p, q):
-        return _sign(p[0] - q[0])
-
-    def _bound_parts(self, bound):
-        if isinstance(bound, Element):
-            if bound.monoid != self:
-                raise MonoidMismatchError("bound element belongs to another monoid")
-            return bound.parts
-        return (_require_int(bound, "bound"),)
 
     def _count_up_to(self, bound, ceiling):
         n = bound[0]
@@ -352,12 +322,6 @@ class Congruence(Monoid):
             yield (1,)
         for k in range(s, n + 1, self.modulus):
             yield (k,)
-
-    def _render_parts(self, p):
-        return str(p[0])
-
-    def _parts_payload(self, p):
-        return p[0]
 
 
 def _square_free(n: int) -> bool:
@@ -438,14 +402,14 @@ class Quadratic(Monoid):
     def _b_max(self, bound: tuple[int, ...]) -> int:
         # Largest b with b*sqrt(r) <= A + B*sqrt(r).
         a_cap, b_cap = bound
-        return b_cap + _floor_sqrt(a_cap * a_cap // self.radicand)
+        return b_cap + isqrt(a_cap * a_cap // self.radicand)
 
     def _a_max(self, bound: tuple[int, ...], b: int) -> int:
         # Largest a >= 0 with a + b*sqrt(r) <= A + B*sqrt(r), or -1.
         a_cap, b_cap = bound
         k = b_cap - b
         if k >= 0:
-            return a_cap + _floor_sqrt(self.radicand * k * k)
+            return a_cap + isqrt(self.radicand * k * k)
         return a_cap - _ceil_sqrt(self.radicand * k * k)
 
     def _count_up_to(self, bound, ceiling):
@@ -614,6 +578,36 @@ class DivisibilityTable:
 
     def is_irreducible(self, xi: int) -> bool:
         return len(self.divisor_ids[xi]) == 2
+
+    def common_divisor_pairs(self) -> Iterator[tuple[int, int, list[int]]]:
+        """``(ai, bi, common)`` for index pairs ``ai <= bi`` sharing at least
+        three divisors, in ``(ai, bi)`` order, ``common`` sorted.
+
+        Index 0 is the identity, which every pair shares; so the candidates
+        for b are the multiples of the non-identity divisors of a.
+        """
+        multiples: list[list[int]] = [[] for _ in self.elements]
+        for xi, ds in enumerate(self.divisor_ids):
+            for ui in ds:
+                multiples[ui].append(xi)
+        for ai, ds in enumerate(self.divisor_ids):
+            shared: dict[int, list[int]] = {}
+            for ui in sorted(ds)[1:]:
+                ms = multiples[ui]
+                for bi in ms[bisect_left(ms, ai):]:
+                    shared.setdefault(bi, []).append(ui)
+            for bi in sorted(shared):
+                if len(shared[bi]) >= 2:
+                    yield ai, bi, [0, *shared[bi]]
+
+    @cached_property
+    def pairs_without_gcd(self) -> list[tuple[int, int, list[int]]]:
+        """Index pairs ``ai <= bi`` with no algebraic gcd, in order.  Only
+        common_divisor_pairs can lack one, and a gcd, when present, is the
+        common divisor of largest norm, since all the others divide it.
+        """
+        return [(ai, bi, common) for ai, bi, common in self.common_divisor_pairs()
+                if not self.divisor_ids[common[-1]].issuperset(common)]
 
     def simplifications(self, ai: int, bi: int) -> frozenset[tuple[int, int]]:
         """All ``(a/x, b/x)`` index pairs over common divisors x of (a, b)."""

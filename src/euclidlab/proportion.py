@@ -16,8 +16,10 @@ a:b = e:f nevertheless fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Optional
 
 from . import euclid
@@ -284,8 +286,8 @@ def least_pair(c: Element, d: Element) -> tuple[Element, Element]:
     """The least pair (u, v) with u:v in the same ratio as c:d.
 
     Defined over the naturals only, where u = c/g and v = d/g for
-    g = gcd(c, d); minimality of u is re-asserted by scanning every
-    smaller candidate for an exact cross-product match.
+    g = gcd(c, d).  Minimality is re-asserted by the stdlib's gcd(u, v)
+    == 1: a u' in the same ratio has u'*v = 0 (mod u), so u | u'.
     """
     if c.monoid != d.monoid:
         raise MonoidMismatchError("least pair needs both elements in one monoid")
@@ -295,10 +297,8 @@ def least_pair(c: Element, d: Element) -> tuple[Element, Element]:
             f"least pair is defined over 'nat' only, not '{monoid.spec_text()}'")
     g = euclid.gcd(c.value, d.value)
     u, v = c.value // g, d.value // g
-    for smaller in range(1, u):
-        # u':v' = c:d forces v' = u'*d/c; any exact solution beats u
-        if (smaller * d.value) % c.value == 0:
-            raise RuntimeError("least pair scan found a smaller ratio match")
+    if math.gcd(u, v) != 1:
+        raise RuntimeError("least pair certificate failed: u and v share a factor")
     return monoid.element(u), monoid.element(v)
 
 
@@ -433,32 +433,32 @@ def transitivity_survey(monoid: Monoid, bound: int, *,
     and conversely each of those quotient-pair conflicts is a failing
     chain.  The survey therefore walks middle pairs (c, d) with
     norm(c) <= norm(d) and emits one witness per conflict, each
-    re-checkable through the search itself.
+    re-checkable through the search itself.  A conflict needs two
+    nontrivial common divisors and no algebraic gcd g (each common x
+    gives g = x*y and (c/x, d/x) simplifies by y to (c/g, d/g)), so the
+    middle pairs are the table's ``pairs_without_gcd``.
     """
     table = DivisibilityTable(monoid, bound, ceiling=ceiling)
-    n = len(table.elements)
-    failures = []
-    for ci in range(n):
-        for di in range(ci, n):
-            common = sorted(table.divisor_ids[ci] & table.divisor_ids[di])
-            if len(common) < 3:
-                continue  # needs two nontrivial common divisors
-            for pos1 in range(len(common)):
-                for pos2 in range(pos1 + 1, len(common)):
-                    x1, x2 = common[pos1], common[pos2]
-                    if table.divides(x1, x2) or table.divides(x2, x1):
-                        continue
-                    k1 = (table.quotient[(ci, x1)], table.quotient[(di, x1)])
-                    k2 = (table.quotient[(ci, x2)], table.quotient[(di, x2)])
-                    if table.simplifications(*k1) & table.simplifications(*k2):
-                        continue
-                    left, right = sorted([k1, k2])
-                    failures.append(TransitivityWitness(
-                        left=(table.elements[left[0]], table.elements[left[1]]),
-                        middle=(table.elements[ci], table.elements[di]),
-                        right=(table.elements[right[0]], table.elements[right[1]]),
-                    ))
     report = SurveyReport(monoid=monoid, bound=bound)
-    report.flags["pythagorean_transitive"] = PropertyFlag(
-        holds=not failures, witnesses=tuple(failures))
+    report.flags["pythagorean_transitive"] = _transitivity_flag(table)
     return report
+
+
+def _transitivity_flag(table: DivisibilityTable) -> PropertyFlag:
+    """Transitivity over the table; see transitivity_survey."""
+    failures = []
+    for ci, di, common in table.pairs_without_gcd:
+        for x1, x2 in combinations(common, 2):
+            if table.divides(x1, x2) or table.divides(x2, x1):
+                continue
+            k1 = (table.quotient[(ci, x1)], table.quotient[(di, x1)])
+            k2 = (table.quotient[(ci, x2)], table.quotient[(di, x2)])
+            if table.simplifications(*k1) & table.simplifications(*k2):
+                continue
+            left, right = sorted([k1, k2])
+            failures.append(TransitivityWitness(
+                left=(table.elements[left[0]], table.elements[left[1]]),
+                middle=(table.elements[ci], table.elements[di]),
+                right=(table.elements[right[0]], table.elements[right[1]]),
+            ))
+    return PropertyFlag(holds=not failures, witnesses=tuple(failures))

@@ -34,6 +34,10 @@ class _Token:
         return "end of input" if self.kind == "end" else repr(self.text)
 
 
+def _is_int(text: str) -> bool:
+    return text.isascii() and text.isdigit()  # INT is [0-9]+, not any digit
+
+
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
     line, column = 1, 1
@@ -47,13 +51,13 @@ def _tokenize(source: str) -> list[_Token]:
         elif ch.isspace():
             column += 1
             i += 1
-        elif ch.isdigit() or ch.isalpha():
-            kind = "int" if ch.isdigit() else "word"
+        elif _is_int(ch) or ch.isalpha():
+            kind = "int" if _is_int(ch) else "word"
             j = i
             while j < len(source) and source[j].isalnum():
                 j += 1
             text = source[i:j]
-            if not (text.isdigit() or text.isalpha()):
+            if not (_is_int(text) or text.isalpha()):
                 raise MonoidSpecSyntaxError(
                     f"malformed token {text!r}", line=line, column=column)
             tokens.append(_Token(kind, text, line, column))

@@ -299,8 +299,8 @@ def test_json_output_is_deterministic():
 
 # -- process-level behaviour ---------------------------------------------------------
 
-def run_process(args):
-    return run_euclidlab(args, text=True)
+def run_process(args, **kwargs):
+    return run_euclidlab(args, text=True, **kwargs)
 
 
 def test_installed_script_on_path_is_what_runs(tmp_path, monkeypatch):
@@ -334,6 +334,13 @@ def test_process_exit_3_reports_on_stderr():
     proc = run_process(["divisors", "99999999"])
     assert proc.returncode == 3
     assert proc.stdout == "" and proc.stderr.startswith("euclidlab: bound exceeded")
+
+
+def test_process_least_pair_of_a_large_prime_returns_promptly():
+    # the minimality check is a gcd certificate, not a scan below 10**9
+    proc = run_process(["least-pair", "1000000007", "2"], timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "least pair of 1000000007:2 is 1000000007:2\n"
 
 
 def test_module_entry_point():

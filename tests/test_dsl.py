@@ -11,6 +11,7 @@ from euclidlab import (
     parse_element,
     parse_monoid_spec,
 )
+from euclidlab.cli import run_command
 
 
 # -- specs that parse -----------------------------------------------------------
@@ -67,6 +68,19 @@ def test_malformed_tokens():
     err = syntax_error("congruence 1 mod3")
     assert "malformed token 'mod3'" in str(err)
     assert (err.line, err.column) == (1, 14)
+
+
+@pytest.mark.parametrize("text,column,char", [
+    ("quadratic \u00b2", 11, "\u00b2"),                # superscript two
+    ("congruence \u0661 mod \u0663", 12, "\u0661"),   # Arabic-Indic one, three
+])
+def test_int_is_ascii_digits_only(text, column, char):
+    err = syntax_error(text)
+    assert (err.line, err.column) == (1, column)
+    assert f"unexpected character {char!r}" in str(err)
+    code, report = run_command(["divisors", "4", "--monoid", text])
+    assert code == 2
+    assert report.startswith(f"euclidlab: syntax error at line 1, column {column}:")
 
 
 def test_missing_pieces():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from euclidlab import euclid
 from euclidlab import (
     CanonicalPartsMode,
     Congruence,
@@ -282,6 +283,13 @@ def test_least_pair_requires_naturals():
     with pytest.raises(UnsupportedStructureError) as err:
         least_pair(C13.element(4), C13.element(10))
     assert "least pair is defined over 'nat' only" in str(err.value)
+
+
+def test_least_pair_certificate_catches_a_wrong_gcd(monkeypatch):
+    # a gcd routine that answers 1 leaves 12:18 unreduced; gcd(12, 18) != 1
+    monkeypatch.setattr(euclid, "gcd", lambda a, b: 1)
+    with pytest.raises(RuntimeError):
+        least_pair(NAT.element(12), NAT.element(18))
 
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
