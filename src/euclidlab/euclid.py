@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import InvalidInputError
+from .errors import BoundExceededError, InvalidInputError
+from .monoids import DEFAULT_ENUMERATION_CEILING
 
 STEP_KINDS = ("subtract", "swap", "terminate")
 
@@ -76,16 +77,36 @@ def _check_positive(n: object, what: str) -> int:
     return n
 
 
+def _subtractive_step_count(a: int, b: int) -> int:
+    """Length of the trace for 1 <= a <= b, from the quotient sequence:
+    each round that a does not divide b records b // a subtractions and
+    a swap, and the last round records the termination."""
+    count = 1
+    while b % a:
+        q, r = divmod(b, a)
+        count += q + 1
+        a, b = r, a
+    return count
+
+
 def euclid_subtractive(a: int, b: int) -> EuclidTrace:
     """Run the subtractive loop, recording every state.
 
     Inputs are normalized so the smaller number sits in position a; equal
-    inputs terminate immediately.
+    inputs terminate immediately.  Raises BoundExceededError, before
+    recording anything, when the trace would hold more than
+    DEFAULT_ENUMERATION_CEILING steps.
     """
     a = _check_positive(a, "a")
     b = _check_positive(b, "b")
     if a > b:
         a, b = b, a
+    count = _subtractive_step_count(a, b)
+    if count > DEFAULT_ENUMERATION_CEILING:
+        raise BoundExceededError(
+            f"the subtractive trace of ({a}, {b}) has {count} steps, over "
+            f"the ceiling of {DEFAULT_ENUMERATION_CEILING}",
+            candidates=count, ceiling=DEFAULT_ENUMERATION_CEILING)
     steps: list[TraceStep] = []
     while True:
         if b % a == 0:

@@ -14,7 +14,9 @@ by a concrete witness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
 from .errors import InvalidInputError
@@ -161,6 +163,13 @@ def factorizations(x: Element, *, ceiling: int | None = None) -> list[Factorizat
     return [Factorization(x, fs) for fs in sorted(descend(x, None))]
 
 
+def _maximal_common_divisors(common: list, divides) -> list:
+    """The members of ``common`` that divide no other member, in order:
+    the maximal common divisors.  ``divides(u, v)`` tests u | v."""
+    return [u for u in common
+            if not any(v != u and divides(u, v) for v in common)]
+
+
 def algebraic_gcd(a: Element, b: Element, *,
                   ceiling: int | None = None) -> GcdReport:
     """Search for a common divisor that every common divisor divides.
@@ -170,9 +179,8 @@ def algebraic_gcd(a: Element, b: Element, *,
     maximal common divisor and everything else divides it.
     """
     common = common_divisors(a, b, ceiling=ceiling)
-    maximal = [u for u in common
-               if not any(v != u and try_divide(v, u) is not None
-                          for v in common)]
+    maximal = _maximal_common_divisors(
+        common, lambda u, v: try_divide(v, u) is not None)
     gcd_elem = None
     if len(maximal) == 1:
         candidate = maximal[0]
@@ -196,6 +204,18 @@ def euclid_lemma_survey(monoid: Monoid, bound: int, *,
     scanned: a*b = b*a, so (b, a) tests the same product as (a, b), and
     the first failing triple of the full scan has b >= a, since otherwise
     its mirror (p, b, a) would fail and come earlier.
+
+    The exact division runs only on pairs that pass an integer norm
+    certificate.  The monoid's norm N (the value for scalar monoids,
+    |a^2 - d*b^2| for quadratic ones) is multiplicative and never 0, so
+    p | a*b forces N(p) | N(a)*N(b), and hence N(p) | g_a*g_b with
+    g = gcd(N(.), N(p)): if q^e exactly divides N(p) and q^i, q^j exactly
+    divide N(a), N(b), then i + j >= e gives min(i, e) + min(j, e) >= e.
+    A pair that fails this test cannot fail the lemma, so skipping
+    it leaves the first failing triple, and the report, unchanged.  In
+    the naturals and in congruence 1 mod 2 every irreducible is a prime
+    p = N(p) with g = 1 on each element it does not divide, so no
+    division runs at all.
     """
     table = DivisibilityTable(monoid, bound, ceiling=ceiling)
     return _euclid_lemma_flag(table)
@@ -206,19 +226,34 @@ def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
     monoid = table.monoid
     mul_parts, divide_parts = monoid._mul_parts, monoid._try_divide_parts
     elems, div_ids = table.elements, table.divisor_ids
+    parts = [e.parts for e in elems]
+    norms = [monoid._norm_parts(x) for x in parts]
     n = len(elems)
     for pi in range(n):
         if not table.is_irreducible(pi):
             continue
-        p = elems[pi].parts
-        coprime = [elems[i].parts for i in range(n) if pi not in div_ids[i]]
-        for j, a in enumerate(coprime):
-            for b in coprime[j:]:
-                product = mul_parts(a, b)
+        p, norm_p = parts[pi], norms[pi]
+        coprime = [i for i in range(n) if pi not in div_ids[i]]
+        gs = [gcd(norms[i], norm_p) for i in coprime]
+        distinct = set(gs)
+        # For each g with any admissible partner, the positions in coprime
+        # of those partners, in order.
+        partners = {ga: [k for k, gb in enumerate(gs) if ga * gb % norm_p == 0]
+                    for ga in distinct
+                    if any(ga * gb % norm_p == 0 for gb in distinct)}
+        if not partners:
+            continue
+        for j, ai in enumerate(coprime):
+            ks = partners.get(gs[j])
+            if not ks:
+                continue
+            a = parts[ai]
+            for k in ks[bisect_left(ks, j):]:
+                product = mul_parts(a, parts[coprime[k]])
                 if divide_parts(product, p) is not None:
                     witness = EuclidLemmaWitness(
-                        irreducible=elems[pi], a=Element(monoid, a),
-                        b=Element(monoid, b), product=Element(monoid, product))
+                        irreducible=elems[pi], a=elems[ai],
+                        b=elems[coprime[k]], product=Element(monoid, product))
                     return PropertyFlag(holds=False, witnesses=(witness,))
     return PropertyFlag(holds=True)
 
@@ -229,9 +264,8 @@ def _gcd_existence_flag(table: DivisibilityTable) -> PropertyFlag:
     div_ids = table.divisor_ids
     failures = []
     for ai, bi, common in table.pairs_without_gcd:
-        maximal = [ui for ui in common
-                   if not any(vi != ui and ui in div_ids[vi]
-                              for vi in common)]
+        maximal = _maximal_common_divisors(
+            common, lambda ui, vi: ui in div_ids[vi])
         failures.append(GcdAbsenceWitness(
             pair=(elems[ai], elems[bi]),
             maximal=tuple(elems[ui] for ui in maximal)))

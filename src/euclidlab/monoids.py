@@ -184,6 +184,11 @@ class Monoid:
     def _norm_cmp_parts(self, p: tuple[int, ...], q: tuple[int, ...]) -> int:
         raise NotImplementedError
 
+    def _norm_parts(self, p: tuple[int, ...]) -> int:
+        """A multiplicative integer norm, never 0: ``u | x`` forces
+        ``N(u) | N(x)`` in the integers."""
+        raise NotImplementedError
+
     def _bound_parts(self, bound: "int | Element") -> tuple[int, ...]:
         """Normalize an integer or element bound to comparable parts."""
         raise NotImplementedError
@@ -213,6 +218,9 @@ class _ScalarMonoid(Monoid):
 
     def _norm_cmp_parts(self, p, q):
         return _sign(p[0] - q[0])
+
+    def _norm_parts(self, p):
+        return p[0]
 
     def _bound_parts(self, bound):
         if isinstance(bound, Element):
@@ -325,14 +333,29 @@ class Congruence(_ScalarMonoid):
 
 
 def _square_free(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 2
-    return True
+    """Square-freeness of n >= 1 by trial division up to the cube root.
+
+    Each factor found is divided out, so once f**3 exceeds the cofactor m,
+    every prime factor of m is above its cube root: m has at most two of
+    them and is square-free unless it is a perfect square.  Raises
+    BoundExceededError when a trial divisor would pass
+    DEFAULT_ENUMERATION_CEILING.
+    """
+    ceiling = DEFAULT_ENUMERATION_CEILING
+    m = n
+    f = 2
+    while f * f * f <= m:
+        if f > ceiling:
+            raise BoundExceededError(
+                f"the square-free test of {n} needs trial divisors past "
+                f"the ceiling of {ceiling}", ceiling=ceiling)
+        if m % f == 0:
+            m //= f
+            if m % f == 0:
+                return False
+        f += 1 if f == 2 else 2
+    r = isqrt(m)
+    return m == 1 or r * r != m
 
 
 @dataclass(frozen=True)
@@ -391,6 +414,11 @@ class Quadratic(Monoid):
 
     def _norm_cmp_parts(self, p, q):
         return _sign_with_radical(p[0] - q[0], p[1] - q[1], self.radicand)
+
+    def _norm_parts(self, p):
+        # The field norm |a^2 - r*b^2|: nonzero because sqrt(r) is irrational.
+        a, b = p
+        return abs(a * a - self.radicand * b * b)
 
     def _bound_parts(self, bound):
         if isinstance(bound, Element):
@@ -579,35 +607,49 @@ class DivisibilityTable:
     def is_irreducible(self, xi: int) -> bool:
         return len(self.divisor_ids[xi]) == 2
 
-    def common_divisor_pairs(self) -> Iterator[tuple[int, int, list[int]]]:
-        """``(ai, bi, common)`` for index pairs ``ai <= bi`` sharing at least
-        three divisors, in ``(ai, bi)`` order, ``common`` sorted.
+    @cached_property
+    def pairs_without_gcd(self) -> list[tuple[int, int, list[int]]]:
+        """``(ai, bi, common)`` for the index pairs ``ai <= bi`` with no
+        algebraic gcd, in ``(ai, bi)`` order, ``common`` sorted.
 
-        Index 0 is the identity, which every pair shares; so the candidates
-        for b are the multiples of the non-identity divisors of a.
+        The gcd test is decided from counts.  Let g be the common divisor of
+        largest norm.  Every divisor of g divides a and b, so the divisors
+        of g are common divisors, and g is a gcd exactly when they are all
+        of them: when ``len(divisor_ids[g])`` equals the number of common
+        divisors.  Index 0 is the identity, which every pair shares; so the
+        scan walks the multiples of a's other divisors in increasing order,
+        keeping per b one count and the last (largest) shared divisor, and
+        builds ``common`` only for the pairs that fail the test.
         """
-        multiples: list[list[int]] = [[] for _ in self.elements]
-        for xi, ds in enumerate(self.divisor_ids):
+        div_ids = self.divisor_ids
+        n = len(div_ids)
+        multiples: list[list[int]] = [[] for _ in div_ids]
+        for xi, ds in enumerate(div_ids):
             for ui in ds:
                 multiples[ui].append(xi)
-        for ai, ds in enumerate(self.divisor_ids):
-            shared: dict[int, list[int]] = {}
+        sizes = [len(ds) for ds in div_ids]
+        # Per b: common divisors so far, the identity included (0 while b
+        # is unseen for this a), and the last one seen.
+        count = [0] * n
+        last = [0] * n
+        out = []
+        for ai, ds in enumerate(div_ids):
+            seen = []
             for ui in sorted(ds)[1:]:
                 ms = multiples[ui]
                 for bi in ms[bisect_left(ms, ai):]:
-                    shared.setdefault(bi, []).append(ui)
-            for bi in sorted(shared):
-                if len(shared[bi]) >= 2:
-                    yield ai, bi, [0, *shared[bi]]
-
-    @cached_property
-    def pairs_without_gcd(self) -> list[tuple[int, int, list[int]]]:
-        """Index pairs ``ai <= bi`` with no algebraic gcd, in order.  Only
-        common_divisor_pairs can lack one, and a gcd, when present, is the
-        common divisor of largest norm, since all the others divide it.
-        """
-        return [(ai, bi, common) for ai, bi, common in self.common_divisor_pairs()
-                if not self.divisor_ids[common[-1]].issuperset(common)]
+                    if count[bi]:
+                        count[bi] += 1
+                    else:
+                        count[bi] = 2
+                        seen.append(bi)
+                    last[bi] = ui
+            seen.sort()
+            for bi in seen:
+                if count[bi] != sizes[last[bi]]:
+                    out.append((ai, bi, sorted(ds & div_ids[bi])))
+                count[bi] = 0
+        return out
 
     def simplifications(self, ai: int, bi: int) -> frozenset[tuple[int, int]]:
         """All ``(a/x, b/x)`` index pairs over common divisors x of (a, b)."""

@@ -343,6 +343,23 @@ def test_process_least_pair_of_a_large_prime_returns_promptly():
     assert proc.stdout == "least pair of 1000000007:2 is 1000000007:2\n"
 
 
+@pytest.mark.parametrize("args,code", [
+    # 10**18 + 3 is prime: square-free, decided past the cube root.
+    (["divisors", "1", "--monoid", "quadratic 1000000000000000003"], 0),
+    # (10**9 + 7)**2: the cofactor past the cube root is a square.
+    (["divisors", "1", "--monoid", "quadratic 1000000014000000049"], 2),
+    # 2**61 - 1 is prime and its cube root passes the ceiling.
+    (["divisors", "1", "--monoid", "quadratic 2305843009213693951"], 3),
+    # about 5*10**10 subtractions, counted before any is recorded
+    (["trace", "2", "100000000001"], 3),
+])
+def test_process_large_inputs_answer_or_stop_promptly(args, code):
+    proc = run_process(args, timeout=30)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert (proc.stderr == "") == (code in (0, 1))
+
+
 def test_module_entry_point():
     import sys
     proc = subprocess.run([sys.executable, "-m", "euclidlab", "gcd", "6", "15"],

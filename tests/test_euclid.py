@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from euclidlab import (
     BezoutCertificate,
+    BoundExceededError,
     EuclidTrace,
     InvalidInputError,
     TraceStep,
@@ -19,6 +20,7 @@ from euclidlab import (
     gcd,
     porism_check,
 )
+from euclidlab.euclid import _subtractive_step_count
 
 positives = st.integers(min_value=1, max_value=3000)
 small_positives = st.integers(min_value=1, max_value=400)
@@ -56,6 +58,24 @@ def test_trace_rejects_nonpositive_inputs():
             euclid_subtractive(a, b)
     with pytest.raises(InvalidInputError):
         euclid_subtractive(2.0, 4)
+
+
+@given(positives, positives)
+def test_step_count_matches_the_recorded_trace(a, b):
+    trace = euclid_subtractive(a, b)
+    assert _subtractive_step_count(min(a, b), max(a, b)) == len(trace.steps)
+
+
+def test_trace_past_the_ceiling_raises_before_recording():
+    # (2, 2k+1) takes k subtractions, a swap and the termination.
+    assert _subtractive_step_count(2, 1_999_997) == 1_000_000
+    with pytest.raises(BoundExceededError) as err:
+        euclid_subtractive(2, 1_999_999)
+    assert (err.value.candidates, err.value.ceiling) == (1_000_001, 1_000_000)
+    with pytest.raises(BoundExceededError) as err:
+        euclid_subtractive(100_000_000_001, 2)
+    assert err.value.candidates == 50_000_000_002
+    assert len(euclid_subtractive(5, 10**30).steps) == 1
 
 
 @given(small_positives, small_positives)

@@ -20,6 +20,7 @@ from euclidlab import (
     mul,
     try_divide,
 )
+from euclidlab.monoids import _square_free
 
 NAT = Naturals()
 C13 = Congruence(1, 3)
@@ -65,6 +66,29 @@ def test_quadratic_requires_square_free_radicand():
             Quadratic(d)
     for d in (2, 3, 5, 6, 7, 10):
         Quadratic(d)
+
+
+def test_square_free_matches_trial_division_by_squares():
+    for n in range(1, 5000):
+        expected = all(n % (f * f) for f in range(2, int(n ** 0.5) + 1))
+        assert _square_free(n) == expected, n
+
+
+def test_square_free_decides_large_radicands_from_the_cube_root():
+    # Past the cube root at most two prime factors remain.
+    q, r = 1_000_000_007, 1_000_000_009  # both prime
+    assert _square_free(q * r)
+    assert not _square_free(q * q)
+    assert not _square_free(2 * q * q)
+    assert _square_free(10**18 + 3)  # prime
+    with pytest.raises(InvalidInputError):
+        Quadratic(q * q)
+    # 2**61 - 1 is prime, and its cube root passes the ceiling of 10**6.
+    with pytest.raises(BoundExceededError) as err:
+        Quadratic(2**61 - 1)
+    assert err.value.ceiling == 1_000_000
+    with pytest.raises(InvalidInputError):
+        Quadratic(4 * (2**61 - 1))  # the factor 4 shows before the ceiling
 
 
 def test_quadratic_default_radicand_is_two():
@@ -279,6 +303,44 @@ def test_divisibility_table_agrees_with_divisors(monoid, bound):
         assert via_table == via_definition
     for (xi, ui), vi in table.quotient.items():
         assert table.elements[ui] * table.elements[vi] == table.elements[xi]
+
+
+# -- the integer norm -------------------------------------------------------------
+
+NORM_MONOIDS = [NAT, C13, Congruence(4, 6), Quadratic(2), Quadratic(3),
+                Quadratic(5), Quadratic(7)]
+
+
+def raw_members(monoid):
+    if isinstance(monoid, Quadratic):
+        return st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(
+            lambda p: p != (0, 0))
+    if isinstance(monoid, Naturals):
+        return st.integers(1, 10**6).map(lambda n: (n,))
+    least = monoid.residue % monoid.modulus or monoid.modulus
+    return st.one_of(st.just((1,)), st.integers(0, 10**6).map(
+        lambda k: (least + monoid.modulus * k,)))
+
+
+@pytest.mark.parametrize("monoid", NORM_MONOIDS, ids=lambda m: m.spec_text())
+@given(data=st.data())
+def test_norm_is_multiplicative_and_never_zero(monoid, data):
+    p = data.draw(raw_members(monoid))
+    q = data.draw(raw_members(monoid))
+    assert monoid.contains(*p) and monoid.contains(*q)
+    norm = monoid._norm_parts
+    assert norm(monoid._mul_parts(p, q)) == norm(p) * norm(q)
+    assert norm(p) >= 1
+
+
+@pytest.mark.parametrize("monoid,bound", [
+    (NAT, 200), (C13, 400), (Congruence(4, 6), 400), (Quadratic(2), 20),
+    (Quadratic(3), 20), (Quadratic(5), 24), (Quadratic(7), 24)])
+def test_table_divisors_divide_in_norm(monoid, bound):
+    table = DivisibilityTable(monoid, bound)
+    norms = [monoid._norm_parts(e.parts) for e in table.elements]
+    for xi, ds in enumerate(table.divisor_ids):
+        assert all(norms[xi] % norms[ui] == 0 for ui in ds)
 
 
 # -- element behaviour ------------------------------------------------------------

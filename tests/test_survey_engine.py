@@ -4,9 +4,10 @@ Each survey flag runs over one ``DivisibilityTable``; these tests check
 its shortcuts against the plain computations they replace: the shared
 pair scans against double loops over all pairs and the definitional
 ``algebraic_gcd``, the table-built factorization witnesses against
-``factorizations``, the half-square Euclid-lemma scan against a
-full-square scan in plain integers, and the three-property survey
-against the standalone surveys.
+``factorizations``, the half-square, norm-pruned Euclid-lemma scan
+against a full-square scan in plain integers (for the first failure and
+for each irreducible alone), and the three-property survey against the
+standalone surveys.
 """
 
 from functools import cmp_to_key
@@ -25,29 +26,35 @@ from euclidlab import (
     three_property_survey,
     transitivity_survey,
 )
-from euclidlab.factorization import _factorization_ids
+from euclidlab.factorization import _euclid_lemma_flag, _factorization_ids
 
 NAT = Naturals()
 C12 = Congruence(1, 2)
 C13 = Congruence(1, 3)
 C14 = Congruence(1, 4)
 Q2 = Quadratic(2)
+Q3 = Quadratic(3)
 Q5 = Quadratic(5)
+Q7 = Quadratic(7)
+C46 = Congruence(4, 6)
 
 SPACES = [(NAT, 60), (C12, 100), (C13, 250), (C14, 200), (Q2, 20), (Q5, 30)]
 
 
 @pytest.mark.parametrize("monoid,bound", SPACES)
 def test_common_divisor_pairs_match_double_loop(monoid, bound):
+    # The count test of pairs_without_gcd against every pair and its full
+    # common-divisor set: a gcd is the largest common divisor, if that one
+    # is a multiple of all the others.
     table = DivisibilityTable(monoid, bound)
     n = len(table.elements)
     expected = []
     for ai in range(n):
         for bi in range(ai, n):
             common = sorted(table.divisor_ids[ai] & table.divisor_ids[bi])
-            if len(common) >= 3:
+            if not table.divisor_ids[common[-1]].issuperset(common):
                 expected.append((ai, bi, common))
-    assert list(table.common_divisor_pairs()) == expected
+    assert table.pairs_without_gcd == expected
 
 
 @pytest.mark.parametrize("monoid,bound", [(C13, 250), (Q2, 20)])
@@ -150,6 +157,10 @@ def quadratic_space(d, bound):
             lambda x, p: oracles.quad_try_divide(x, p, d))
 
 
+def as_oracle_value(e):
+    return e.parts[0] if len(e.parts) == 1 else e.parts
+
+
 def full_square_first_failure(members, irreducible, mul, divide):
     for p in irreducible:
         coprime = [x for x in members if divide(x, p) is None]
@@ -168,6 +179,10 @@ def full_square_first_failure(members, irreducible, mul, divide):
     (C14, 200, lambda b: scalar_space(1, 4, b)),
     (Q2, 12, lambda b: quadratic_space(2, b)),
     (Q5, 20, lambda b: quadratic_space(5, b)),
+    (Q3, 24, lambda b: quadratic_space(3, b)),
+    (Q7, 30, lambda b: quadratic_space(7, b)),
+    (C14, 1000, lambda b: scalar_space(1, 4, b)),
+    (C46, 600, lambda b: scalar_space(4, 6, b)),
 ])
 def test_half_square_lemma_scan_matches_full_square(monoid, bound, space):
     expected = full_square_first_failure(*space(bound))
@@ -176,6 +191,52 @@ def test_half_square_lemma_scan_matches_full_square(monoid, bound, space):
         assert flag.holds and flag.witnesses == ()
         return
     (w,) = flag.witnesses
-    got = tuple(e.parts[0] if len(e.parts) == 1 else e.parts
-                for e in (w.irreducible, w.a, w.b, w.product))
+    got = tuple(as_oracle_value(e) for e in (w.irreducible, w.a, w.b, w.product))
     assert got == expected
+
+
+@pytest.mark.parametrize("monoid,bound,space", [
+    (C14, 400, lambda b: scalar_space(1, 4, b)),
+    (C46, 400, lambda b: scalar_space(4, 6, b)),
+    (Q2, 16, lambda b: quadratic_space(2, b)),
+    (Q3, 16, lambda b: quadratic_space(3, b)),
+    (Q7, 16, lambda b: quadratic_space(7, b)),
+])
+def test_norm_pruned_scan_matches_full_square_per_irreducible(
+        monkeypatch, monoid, bound, space):
+    # The scan reports only the first failure over all p; taking one
+    # irreducible at a time checks the norm groups of every later p too.
+    members, irreducible, mul, divide = space(bound)
+    table = DivisibilityTable(monoid, bound)
+    index = {as_oracle_value(e): i for i, e in enumerate(table.elements)}
+    for p in irreducible:
+        monkeypatch.setattr(table, "is_irreducible",
+                            lambda i, pi=index[p]: i == pi)
+        expected = full_square_first_failure(members, [p], mul, divide)
+        flag = _euclid_lemma_flag(table)
+        if expected is None:
+            assert flag.holds
+            continue
+        (w,) = flag.witnesses
+        got = tuple(as_oracle_value(e) for e in (w.irreducible, w.a, w.b, w.product))
+        assert got == expected
+
+
+@pytest.mark.parametrize("monoid,bound", [(NAT, 150), (C12, 200)])
+def test_euclid_scan_divides_nothing_where_irreducibles_are_primes(
+        monkeypatch, monoid, bound):
+    # Each irreducible is a prime p = N(p) with gcd(N(a), p) = 1 on every
+    # a it does not divide, so the norm test rules out every product.
+    calls = []
+    for cls in (Naturals, Congruence, Quadratic):
+        original = cls._try_divide_parts
+
+        def counting(self, b, a, original=original):
+            calls.append(a)
+            return original(self, b, a)
+
+        monkeypatch.setattr(cls, "_try_divide_parts", counting)
+    assert euclid_lemma_survey(monoid, bound).holds
+    assert calls == []
+    assert not euclid_lemma_survey(Q2, 20).holds
+    assert calls  # the counter sees the divisions where pairs pass
