@@ -18,6 +18,7 @@ Nothing is written to stderr on exit 0 or 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -63,7 +64,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: ``parse_args`` leaves it unchanged,
+    and usage and help text are formatted only when they are asked for."""
     common = _Parser(add_help=False)
     common.add_argument("--monoid", default="nat", metavar="SPEC",
                         help="monoid spec text (default: nat)")

@@ -17,6 +17,10 @@ from math import isqrt
 from .errors import BoundExceededError, InvalidInputError
 from .monoids import DEFAULT_ENUMERATION_CEILING
 
+#: Entries kept by the trial-division cache.  A trace reuses one number's
+#: divisors over each run of subtractions, which keeps its smaller entry.
+DIVISOR_SET_CACHE_SIZE = 1024
+
 STEP_KINDS = ("subtract", "swap", "terminate")
 
 
@@ -119,7 +123,7 @@ def euclid_subtractive(a: int, b: int) -> EuclidTrace:
         a, b = b, a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIVISOR_SET_CACHE_SIZE)
 def _divisor_set(n: int) -> frozenset[int]:
     """All positive divisors of n, by trial division."""
     small, large = [], []
@@ -129,6 +133,14 @@ def _divisor_set(n: int) -> frozenset[int]:
             small.append(d)
             large.append(quot)
     return frozenset(small + large)
+
+
+def _common_divisor_set(a: int, b: int) -> frozenset[int]:
+    """All common divisors of a and b: the divisors of the smaller one,
+    found by trial division, that divide the larger one."""
+    if a > b:
+        a, b = b, a
+    return frozenset(d for d in _divisor_set(a) if b % d == 0)
 
 
 def check_loop_invariants(trace: EuclidTrace) -> LoopInvariantReport:
@@ -147,10 +159,10 @@ def check_loop_invariants(trace: EuclidTrace) -> LoopInvariantReport:
         _check_positive(step.b, "trace entry b")
         if step.kind not in STEP_KINDS:
             raise InvalidInputError(f"unknown step kind {step.kind!r}")
+    common = [_common_divisor_set(s.a, s.b) for s in trace.steps]
     checks = []
-    for before, after in zip(trace.steps, trace.steps[1:]):
-        cd_before = _divisor_set(before.a) & _divisor_set(before.b)
-        cd_after = _divisor_set(after.a) & _divisor_set(after.b)
+    for before, after, cd_before, cd_after in zip(
+            trace.steps, trace.steps[1:], common, common[1:]):
         checks.append(StepCheck(
             before=(before.a, before.b),
             after=(after.a, after.b),
@@ -195,8 +207,7 @@ def porism_check(a: int, b: int) -> bool:
     check is independent of the gcd computation it validates.
     """
     g = gcd(a, b)
-    common = _divisor_set(a) & _divisor_set(b)
-    return all(g % d == 0 for d in common)
+    return all(g % d == 0 for d in _common_divisor_set(a, b))
 
 
 def _is_prime(p: int) -> bool:

@@ -31,6 +31,13 @@ from .errors import (
 #: per call via the ``ceiling`` keyword accepted by enumerating operations.
 DEFAULT_ENUMERATION_CEILING = 1_000_000
 
+#: Entries kept by the enumeration and divisor caches.  An enumeration is
+#: reused only by repeated calls with one bound, and a divisor set mostly
+#: within one ``factorizations`` descent, which asks for one set per
+#: divisor of its input.
+ENUMERATION_CACHE_SIZE = 16
+DIVISORS_CACHE_SIZE = 4096
+
 
 def _require_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -200,6 +207,10 @@ class Monoid:
     def _iter_parts_up_to(self, bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         raise NotImplementedError
 
+    def _iter_root_parts(self, x: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """The members u with ``u * u <= x``, in any order."""
+        raise NotImplementedError
+
     def _render_parts(self, p: tuple[int, ...]) -> str:
         raise NotImplementedError
 
@@ -228,6 +239,9 @@ class _ScalarMonoid(Monoid):
                 raise MonoidMismatchError("bound element belongs to another monoid")
             return bound.parts
         return (_require_int(bound, "bound"),)
+
+    def _iter_root_parts(self, x):
+        return self._iter_parts_up_to((isqrt(x[0]),))
 
     def _render_parts(self, p):
         return str(p[0])
@@ -459,6 +473,20 @@ class Quadratic(Monoid):
                 if a or b:
                     yield (a, b)
 
+    def _iter_root_parts(self, x):
+        # Row by row in b, a grows while u*u <= x; values grow with a and
+        # with b, so the first row whose least member squares past x ends
+        # the scan.
+        b = 0
+        while True:
+            a = first = 0 if b else 1
+            while self._norm_cmp_parts(self._mul_parts((a, b), (a, b)), x) <= 0:
+                yield (a, b)
+                a += 1
+            if a == first:
+                return
+            b += 1
+
     def _render_parts(self, p):
         a, b = p
         return f"{a}+{b}*sqrt({self.radicand})"
@@ -501,15 +529,21 @@ def _resolve_ceiling(ceiling: int | None) -> int:
     return c
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(monoid: Monoid, bound: tuple[int, ...],
-                      ceiling: int) -> tuple[Element, ...]:
+def _check_ceiling(monoid: Monoid, bound: tuple[int, ...], ceiling: int) -> None:
+    """Raise BoundExceededError when more than ``ceiling`` candidates have
+    norm at most the bound."""
     count = monoid._count_up_to(bound, ceiling)
     if count > ceiling:
         raise BoundExceededError(
             f"enumeration up to norm {monoid._render_parts(bound)} needs "
             f"{count} candidates, over the ceiling of {ceiling}",
             candidates=count, ceiling=ceiling)
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _enumerate_cached(monoid: Monoid, bound: tuple[int, ...],
+                      ceiling: int) -> tuple[Element, ...]:
+    _check_ceiling(monoid, bound, ceiling)
     parts = list(monoid._iter_parts_up_to(bound))
     parts.sort(key=cmp_to_key(monoid._norm_cmp_parts))
     return tuple(Element(monoid, p) for p in parts)
@@ -530,14 +564,22 @@ def enumerate_up_to(monoid: Monoid, bound: int | Element, *,
     return list(_enumerate_cached(monoid, bound_parts, _resolve_ceiling(ceiling)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIVISORS_CACHE_SIZE)
 def _divisors_cached(x: Element, ceiling: int) -> tuple[Element, ...]:
     monoid = x.monoid
-    out = []
-    for u in _enumerate_cached(monoid, x.parts, ceiling):
-        if monoid._try_divide_parts(x.parts, u.parts) is not None:
-            out.append(u)
-    return tuple(out)
+    _check_ceiling(monoid, x.parts, ceiling)
+    norm = monoid._norm_parts(x.parts)
+    found = []
+    for u in monoid._iter_root_parts(x.parts):
+        if norm % monoid._norm_parts(u):
+            continue
+        q = monoid._try_divide_parts(x.parts, u)
+        if q is not None:
+            found.append(u)
+            if q != u:
+                found.append(q)
+    found.sort(key=cmp_to_key(monoid._norm_cmp_parts))
+    return tuple(Element(monoid, p) for p in found)
 
 
 def divisors(x: Element, *, nontrivial: bool = False,
@@ -545,8 +587,13 @@ def divisors(x: Element, *, nontrivial: bool = False,
     """Every divisor of x within the monoid, in nondecreasing norm order.
 
     The identity always divides and is included; pass ``nontrivial=True``
-    to drop it.  Enumeration inspects all candidates of norm at most
-    norm(x), so the ceiling guard applies.
+    to drop it.  Each divisor u comes with its cofactor q = x/u, and
+    values are positive, so min(u, q) squared is at most u*q = x: the
+    scan tries only the members u with ``u * u <= x``, divides only those
+    whose norm divides norm(x), and keeps both u and x/u.  The ceiling
+    guard still counts every candidate of norm at most norm(x), as an
+    enumeration up to x would, so the inputs that raise
+    BoundExceededError do not depend on how the divisors are found.
     """
     found = _divisors_cached(x, _resolve_ceiling(ceiling))
     if nontrivial:

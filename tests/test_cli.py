@@ -1,5 +1,7 @@
 """The command line interface: exit codes, text reports, JSON envelopes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -358,6 +360,61 @@ def test_process_large_inputs_answer_or_stop_promptly(args, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert (proc.stderr == "") == (code in (0, 1))
+
+
+def test_process_trace_with_many_steps_checks_its_invariants_promptly():
+    # 333,335 states whose smaller entry is almost always 3: each state's
+    # common divisors come from trial division of the smaller entry only.
+    proc = run_process(["trace", "3", "1000000", "--json"], timeout=15)
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)["payload"]
+    assert len(payload["steps"]) == 333_335 and payload["result"] == 1
+    assert payload["invariants"] == {"divisor_set_ok": True,
+                                     "subgroup_ok": True}
+
+
+# One of each outcome through the parser: a usage error, both help texts,
+# every subcommand, a refusal and a budget stop.
+MIXED_SEQUENCE = [
+    (["gcd", "240"], 2),
+    (["--help"], 0),
+    (["gcd", "--help"], 0),
+    (["gcd", "240", "46"], 0),
+    (["bezout", "240", "46", "--json"], 0),
+    (["trace", "6", "15"], 0),
+    (["divisors", "100", "--nontrivial-divisors"] + C13, 0),
+    (["factor", "100", "--json"] + C13, 0),
+    (["irreducible", "40"] + C13, 1),
+    (["proportion", "--vii19", "4", "10", "10", "25"] + C13, 1),
+    (["least-pair", "12", "18", "--json"], 0),
+    (["survey", "--three-properties", "--bound", "30"] + C13, 1),
+    (["gcd", "4", "10"] + C13, 2),
+    (["divisors", "99999999", "--json"], 3),
+]
+
+
+def test_one_parser_serves_repeated_mixed_sequences(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the width
+
+    def in_process(argv):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code, text = run_command(argv)
+        return code, printed.getvalue(), text
+
+    first = [in_process(argv) for argv, _ in MIXED_SEQUENCE]
+    assert [in_process(argv) for argv, _ in MIXED_SEQUENCE] == first
+    assert [code for code, _, _ in first] == [c for _, c in MIXED_SEQUENCE]
+    for (argv, _), (code, printed, text) in zip(MIXED_SEQUENCE, first):
+        proc = run_process(argv)
+        shown = text + "\n" if text else ""
+        assert proc.returncode == code
+        if code in (0, 1):
+            assert (proc.stdout, proc.stderr) == (printed + shown, "")
+        else:
+            assert (proc.stdout, proc.stderr) == (printed, shown)
+    assert first[1][1].startswith("usage: euclidlab")
+    assert first[2][1].startswith("usage: euclidlab gcd")
 
 
 def test_module_entry_point():

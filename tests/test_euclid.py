@@ -20,7 +20,7 @@ from euclidlab import (
     gcd,
     porism_check,
 )
-from euclidlab.euclid import _subtractive_step_count
+from euclidlab.euclid import _common_divisor_set, _subtractive_step_count
 
 positives = st.integers(min_value=1, max_value=3000)
 small_positives = st.integers(min_value=1, max_value=400)
@@ -180,6 +180,12 @@ def test_bezout_rejects_nonpositive():
 @given(positives, positives)
 def test_porism_every_common_divisor_divides_the_gcd(a, b):
     assert porism_check(a, b)
+
+
+@given(small_positives, small_positives)
+def test_common_divisor_set_is_the_intersection(a, b):
+    assert _common_divisor_set(a, b) == (
+        oracles.nat_divisors(a) & oracles.nat_divisors(b))
 
 
 def test_porism_frozen():

@@ -1,5 +1,7 @@
 """Monoid arithmetic, membership, enumeration and divisor sets."""
 
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from euclidlab import (
     mul,
     try_divide,
 )
+from euclidlab import euclid, monoids
 from euclidlab.monoids import _square_free
 
 NAT = Naturals()
@@ -274,22 +277,99 @@ def test_divisors_identity():
     assert divisors(C13.element(1), nontrivial=True) == []
 
 
-@given(st.integers(min_value=1, max_value=300))
-def test_nat_divisors_match_trial_division(n):
-    assert {d.value for d in divisors(NAT.element(n))} == oracles.nat_divisors(n)
+# Each draw is a member or the square of a member: a square x has a
+# divisor u with u*u == x, on the bound of the square-root scan.
+
+def drop_identity(divs, identity, nontrivial):
+    return [d for d in divs if not (nontrivial and d == identity)]
 
 
-@given(st.integers(min_value=0, max_value=110).map(lambda k: 1 + 3 * k))
-def test_congruence_divisors_match_oracle(n):
-    got = {d.value for d in divisors(C13.element(n))}
-    assert got == oracles.congruence_divisors(1, 3, n)
+@given(st.one_of(st.integers(1, 300), st.integers(1, 40).map(lambda k: k * k)),
+       st.booleans())
+def test_nat_divisors_match_trial_division(n, nontrivial):
+    got = [d.value for d in divisors(NAT.element(n), nontrivial=nontrivial)]
+    assert got == drop_identity(sorted(oracles.nat_divisors(n)), 1, nontrivial)
 
 
-@given(st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda p: p != (0, 0)))
+def congruence_members(r, m, cap):
+    """1 and the first cap + 1 members of the residue class."""
+    return st.one_of(st.just(1),
+                     st.integers(0, cap).map(lambda k: (r % m or m) + m * k))
+
+
+@given(data=st.data())
+def test_congruence_divisors_match_oracle(data):
+    # 1 is adjoined below the least member in congruence 4 mod 6.
+    r, m = data.draw(st.sampled_from([(1, 3), (4, 6)]))
+    n = data.draw(st.one_of(congruence_members(r, m, 110),
+                            congruence_members(r, m, 15).map(lambda u: u * u)))
+    nontrivial = data.draw(st.booleans())
+    got = [d.value for d in divisors(Congruence(r, m).element(n),
+                                     nontrivial=nontrivial)]
+    want = sorted(oracles.congruence_divisors(r, m, n))
+    assert got == drop_identity(want, 1, nontrivial)
+
+
+def quad_pairs(cap):
+    return st.tuples(st.integers(0, cap), st.integers(0, cap)).filter(
+        lambda p: p != (0, 0))
+
+
+def quad_norm_order(d):
+    return cmp_to_key(lambda p, q: 0 if p == q
+                      else -1 if oracles.quad_norm_le(p, q, d) else 1)
+
+
+@given(data=st.data())
 @settings(deadline=None)
-def test_quadratic_divisors_match_oracle(pair):
-    got = {d.pair for d in divisors(elem(Q2, pair))}
-    assert got == oracles.quad_divisors(2, pair)
+def test_quadratic_divisors_match_oracle(data):
+    d = data.draw(st.sampled_from([2, 3, 5, 7]))
+    pair = data.draw(st.one_of(
+        quad_pairs(9), quad_pairs(3).map(lambda u: oracles.quad_mul(u, u, d))))
+    nontrivial = data.draw(st.booleans())
+    got = [u.pair for u in divisors(Quadratic(d).element(*pair),
+                                    nontrivial=nontrivial)]
+    want = sorted(oracles.quad_divisors(d, pair), key=quad_norm_order(d))
+    assert got == drop_identity(want, (1, 0), nontrivial)
+
+
+def root_candidates(monoid, parts):
+    """Members u with u*u <= x whose norm divides norm(x), in plain integers."""
+    if isinstance(monoid, Quadratic):
+        d = monoid.radicand
+        norm = lambda p: abs(p[0] * p[0] - d * p[1] * p[1])  # noqa: E731
+        return [u for u in oracles.quad_members(d, parts)
+                if oracles.quad_norm_le(oracles.quad_mul(u, u, d), parts, d)
+                and norm(parts) % norm(u) == 0]
+    n = parts[0]
+    return [(u,) for u in range(1, n + 1)
+            if u * u <= n and monoid.contains(u) and n % u == 0]
+
+
+@pytest.mark.parametrize("monoid,parts", [
+    (NAT, (999983,)), (NAT, (3600,)), (NAT, (720720,)), (C13, (2500,)),
+    (C13, (2401,)), (Congruence(4, 6), (256,)), (Q2, (7, 3)),
+    (Q2, (17, 12)), (Quadratic(7), (72, 18)), (Quadratic(5), (29, 7))],
+    ids=lambda v: v.spec_text() if hasattr(v, "spec_text") else repr(v))
+def test_divisor_scan_divides_only_norm_divisors_up_to_the_root(
+        monkeypatch, monoid, parts):
+    calls = []
+    original = type(monoid)._try_divide_parts
+
+    def counting(self, b, a):
+        calls.append(a)
+        return original(self, b, a)
+
+    monkeypatch.setattr(type(monoid), "_try_divide_parts", counting)
+    monoids._divisors_cached.cache_clear()
+    divisors(monoid.element(*parts))
+    assert sorted(calls) == sorted(root_candidates(monoid, parts))
+
+
+def test_caches_are_bounded():
+    for cached in (monoids._enumerate_cached, monoids._divisors_cached,
+                   euclid._divisor_set):
+        assert cached.cache_info().maxsize is not None
 
 
 # -- the product-scan table agrees with the definitional route -------------------
