@@ -261,11 +261,9 @@ def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
 def _gcd_existence_flag(table: DivisibilityTable) -> PropertyFlag:
     """Algebraic gcds for every pair of elements in the table."""
     elems = table.elements
-    div_ids = table.divisor_ids
     failures = []
     for ai, bi, common in table.pairs_without_gcd:
-        maximal = _maximal_common_divisors(
-            common, lambda ui, vi: ui in div_ids[vi])
+        maximal = _maximal_common_divisors(common, table.divides)
         failures.append(GcdAbsenceWitness(
             pair=(elems[ai], elems[bi]),
             maximal=tuple(elems[ui] for ui in maximal)))
@@ -297,11 +295,6 @@ def _factorization_ids(table: DivisibilityTable) -> list[tuple[tuple[int, ...], 
         return memo[key]
 
     return [descend(xi, 0) for xi in range(n)]
-
-
-def _count_factorizations(table: DivisibilityTable) -> list[int]:
-    """Number of irreducible multisets with each element as product."""
-    return [len(fs) for fs in _factorization_ids(table)]
 
 
 def _unique_factorization_flag(table: DivisibilityTable) -> PropertyFlag:

@@ -697,9 +697,3 @@ class DivisibilityTable:
                     out.append((ai, bi, sorted(ds & div_ids[bi])))
                 count[bi] = 0
         return out
-
-    def simplifications(self, ai: int, bi: int) -> frozenset[tuple[int, int]]:
-        """All ``(a/x, b/x)`` index pairs over common divisors x of (a, b)."""
-        common = self.divisor_ids[ai] & self.divisor_ids[bi]
-        quot = self.quotient
-        return frozenset((quot[(ai, xi)], quot[(bi, xi)]) for xi in common)

@@ -393,9 +393,10 @@ def repair_check(quad: ProportionQuad, *,
 class TransitivityWitness:
     """A chain left:middle:right with the outer proportion failing.
 
-    left = middle/x1 and right = middle/x2 for incomparable common
-    divisors x1, x2 of the middle pair; left and right share no common
-    simplification, so left ~ middle ~ right but not left ~ right.
+    left = middle/x1 and right = middle/x2 for common divisors x1, x2
+    of the middle pair such that no common divisor of the middle pair
+    is a multiple of both x1 and x2; left and right then share no
+    common simplification, so left ~ middle ~ right but not left ~ right.
     Any failing chain over the surveyed space reduces to one of these.
     """
 
@@ -428,15 +429,23 @@ def transitivity_survey(monoid: Monoid, bound: int, *,
     """Hunt for failures of transitivity of proportionality.
 
     Chains a:b = c:d = e:f with a:b != e:f are reported in a reduced
-    form: any such chain forces two incomparable common divisors x1, x2
-    of its middle pair whose quotient pairs share no simplification,
-    and conversely each of those quotient-pair conflicts is a failing
+    form: any such chain forces two common divisors x1, x2 of its
+    middle pair whose quotient pairs share no simplification, and
+    conversely each of those quotient-pair conflicts is a failing
     chain.  The survey therefore walks middle pairs (c, d) with
     norm(c) <= norm(d) and emits one witness per conflict, each
     re-checkable through the search itself.  A conflict needs two
     nontrivial common divisors and no algebraic gcd g (each common x
     gives g = x*y and (c/x, d/x) simplifies by y to (c/g, d/g)), so the
     middle pairs are the table's ``pairs_without_gcd``.
+
+    The quotient pairs k1 = (c/x1, d/x1) and k2 = (c/x2, d/x2) share a
+    simplification exactly when some common divisor z of (c, d) is a
+    multiple of both x1 and x2.  If k1/y1 = k2/y2 = (s, t), then
+    c = x1*y1*s = x2*y2*s, and cancelling s gives z = x1*y1 = x2*y2,
+    which divides c and d; conversely such a z gives (c/z, d/z) as
+    k1/y1 and k2/y2.  So the flag compares the common divisors above
+    x1 with those above x2; a comparable x1 | x2 never conflicts.
     """
     table = DivisibilityTable(monoid, bound, ceiling=ceiling)
     report = SurveyReport(monoid=monoid, bound=bound)
@@ -448,13 +457,15 @@ def _transitivity_flag(table: DivisibilityTable) -> PropertyFlag:
     """Transitivity over the table; see transitivity_survey."""
     failures = []
     for ci, di, common in table.pairs_without_gcd:
+        # Bit j of above[x] is set when x divides common[j].
+        above = {x: sum(1 << j for j, z in enumerate(common)
+                        if table.divides(x, z))
+                 for x in common}
         for x1, x2 in combinations(common, 2):
-            if table.divides(x1, x2) or table.divides(x2, x1):
+            if above[x1] & above[x2]:
                 continue
             k1 = (table.quotient[(ci, x1)], table.quotient[(di, x1)])
             k2 = (table.quotient[(ci, x2)], table.quotient[(di, x2)])
-            if table.simplifications(*k1) & table.simplifications(*k2):
-                continue
             left, right = sorted([k1, k2])
             failures.append(TransitivityWitness(
                 left=(table.elements[left[0]], table.elements[left[1]]),

@@ -17,7 +17,7 @@ from euclidlab import (
     is_irreducible,
     three_property_survey,
 )
-from euclidlab.factorization import _count_factorizations
+from euclidlab.factorization import _factorization_ids
 
 NAT = Naturals()
 C13 = Congruence(1, 3)
@@ -97,11 +97,10 @@ def test_factorizations_naturals_unique_and_sorted(n):
 
 @pytest.mark.parametrize("monoid,bound", [(C13, 250), (Q2, 20)])
 def test_factorization_counts_agree_with_enumeration(monoid, bound):
-    # dynamic-programming counts vs the branching enumerator
+    # table-built factorization counts vs the branching enumerator
     table = DivisibilityTable(monoid, bound)
-    counts = _count_factorizations(table)
-    for x, count in zip(table.elements, counts):
-        assert len(factorizations(x)) == count
+    for x, fs in zip(table.elements, _factorization_ids(table)):
+        assert len(factorizations(x)) == len(fs)
 
 
 # -- algebraic gcd ---------------------------------------------------------------

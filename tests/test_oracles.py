@@ -1,0 +1,17 @@
+"""The oracles stay independent of the package they check."""
+
+import ast
+from pathlib import Path
+
+
+def test_oracles_import_nothing_from_euclidlab():
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported  # the walk sees the module's own imports
+    assert [name for name in imported
+            if name.split(".")[0] == "euclidlab"] == []

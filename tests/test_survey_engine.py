@@ -90,7 +90,15 @@ def test_pairs_without_gcd_match_definitional_gcd(monoid, bound):
     assert [(ai, bi) for ai, bi, _ in table.pairs_without_gcd] == expected
 
 
-@pytest.mark.parametrize("monoid,bound", SPACES)
+def simplifications(table, ai, bi):
+    """Every ``(a/x, b/x)`` index pair over the common divisors x of (a, b)."""
+    common = table.divisor_ids[ai] & table.divisor_ids[bi]
+    quot = table.quotient
+    return {(quot[(ai, xi)], quot[(bi, xi)]) for xi in common}
+
+
+@pytest.mark.parametrize("monoid,bound",
+                         SPACES + [(Q3, 24), (Q7, 30), (C46, 300)])
 def test_transitivity_skips_no_conflicting_pair(monoid, bound):
     # Every pair and every incomparable pair of common divisors, including
     # the pairs with an algebraic gcd that the survey passes over.
@@ -106,7 +114,8 @@ def test_transitivity_skips_no_conflicting_pair(monoid, bound):
                         continue
                     k1 = (table.quotient[(ci, x1)], table.quotient[(di, x1)])
                     k2 = (table.quotient[(ci, x2)], table.quotient[(di, x2)])
-                    if not table.simplifications(*k1) & table.simplifications(*k2):
+                    if not (simplifications(table, *k1)
+                            & simplifications(table, *k2)):
                         expected.append((ci, di, *sorted([k1, k2])))
     flag = transitivity_survey(monoid, bound).flags["pythagorean_transitive"]
     got = [(table.index[w.middle[0].parts], table.index[w.middle[1].parts],
