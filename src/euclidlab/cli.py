@@ -347,10 +347,11 @@ def _cmd_survey(ns, monoid):
     for name, flag in flags.items():
         payload["flags"][name] = {"holds": flag.holds,
                                   "witness_count": len(flag.witnesses)}
-        for w in flag.witnesses:
-            entry = w.to_payload()
-            entry["flag"] = name
-            witnesses.append(entry)
+        if ns.json:  # text mode prints counts only
+            for w in flag.witnesses:
+                entry = w.to_payload()
+                entry["flag"] = name
+                witnesses.append(entry)
         if flag.holds:
             lines.append(f"{name}: holds up to bound {ns.bound}")
         else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
 from .errors import InvalidInputError
@@ -193,6 +193,28 @@ def algebraic_gcd(a: Element, b: Element, *,
 # -- surveys ------------------------------------------------------------------
 
 
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """``spf[k]``, the least prime factor of k, for ``2 <= k <= limit``."""
+    spf = list(range(limit + 1))
+    for k in range(2, isqrt(limit) + 1):
+        if spf[k] == k:
+            for j in range(k * k, limit + 1, k):
+                if spf[j] == j:
+                    spf[j] = k
+    return spf
+
+
+def _prime_factors(n: int, spf: list[int]) -> list[int]:
+    """The distinct prime factors of ``1 <= n <= len(spf) - 1``, increasing."""
+    out = []
+    while n > 1:
+        q = spf[n]
+        out.append(q)
+        while n % q == 0:
+            n //= q
+    return out
+
+
 def euclid_lemma_survey(monoid: Monoid, bound: int, *,
                         ceiling: int | None = None) -> PropertyFlag:
     """Check p | a*b implies p | a or p | b for all irreducibles p and
@@ -212,10 +234,19 @@ def euclid_lemma_survey(monoid: Monoid, bound: int, *,
     g = gcd(N(.), N(p)): if q^e exactly divides N(p) and q^i, q^j exactly
     divide N(a), N(b), then i + j >= e gives min(i, e) + min(j, e) >= e.
     A pair that fails this test cannot fail the lemma, so skipping
-    it leaves the first failing triple, and the report, unchanged.  In
-    the naturals and in congruence 1 mod 2 every irreducible is a prime
-    p = N(p) with g = 1 on each element it does not divide, so no
-    division runs at all.
+    it leaves the first failing triple, and the report, unchanged.
+
+    An irreducible p with N(p) > 1 is skipped outright when every
+    element whose norm shares a rational prime with N(p) is a multiple
+    of p.  Then g_a = 1 for every a that p does not divide, and N(p)
+    does not divide g_a*g_b = 1, so no pair of the scan passes the test.
+    The elements under each prime come from one index, built by
+    factoring every norm with a smallest-prime-factor sieve.  An
+    irreducible of norm 1, such as 1+sqrt(2), is never skipped: N(p) = 1
+    divides every product.  In the naturals and in congruence 1 mod 2
+    every irreducible is a prime p = N(p), and the elements whose norm
+    p divides are its multiples, so every irreducible is skipped and no
+    gcd runs either.
     """
     table = DivisibilityTable(monoid, bound, ceiling=ceiling)
     return _euclid_lemma_flag(table)
@@ -229,10 +260,20 @@ def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
     parts = [e.parts for e in elems]
     norms = [monoid._norm_parts(x) for x in parts]
     n = len(elems)
+    spf = _smallest_prime_factors(max(norms))
+    # Each rational prime q, with the elements whose norm q divides.
+    by_prime: dict[int, list[int]] = {}
+    for i, norm in enumerate(norms):
+        for q in _prime_factors(norm, spf):
+            by_prime.setdefault(q, []).append(i)
     for pi in range(n):
         if not table.is_irreducible(pi):
             continue
         p, norm_p = parts[pi], norms[pi]
+        if norm_p > 1 and all(pi in div_ids[i]
+                              for q in _prime_factors(norm_p, spf)
+                              for i in by_prime[q]):
+            continue
         coprime = [i for i in range(n) if pi not in div_ids[i]]
         gs = [gcd(norms[i], norm_p) for i in coprime]
         distinct = set(gs)

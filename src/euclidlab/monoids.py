@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, lru_cache, total_ordering
+from itertools import combinations
 from math import isqrt
 from typing import Iterator
 
@@ -659,41 +660,45 @@ class DivisibilityTable:
         """``(ai, bi, common)`` for the index pairs ``ai <= bi`` with no
         algebraic gcd, in ``(ai, bi)`` order, ``common`` sorted.
 
-        The gcd test is decided from counts.  Let g be the common divisor of
-        largest norm.  Every divisor of g divides a and b, so the divisors
-        of g are common divisors, and g is a gcd exactly when they are all
-        of them: when ``len(divisor_ids[g])`` equals the number of common
-        divisors.  Index 0 is the identity, which every pair shares; so the
-        scan walks the multiples of a's other divisors in increasing order,
-        keeping per b one count and the last (largest) shared divisor, and
-        builds ``common`` only for the pairs that fail the test.
+        Only pairs that share two distinct irreducibles can lack a gcd.
+        Every element factors into irreducibles, by descent on the norm
+        order.  If p is the only irreducible dividing both a and b, each
+        nontrivial common divisor has p as its only irreducible factor,
+        so it is a power of p; the common divisors form a chain, and its
+        top is a gcd.  With no shared irreducible the identity is the
+        gcd.  So the scan indexes the elements by each pair {p, q} of
+        their distinct irreducible divisors and, for each a, walks the
+        lists of a's own pairs from a onwards, visiting each b once.
+
+        The gcd test is decided from counts, on bitmasks of divisor ids.
+        Let g be the common divisor of largest norm, the top set bit of
+        ``m_a & m_b`` (ids are in norm order).  Every divisor of g
+        divides a and b, so the divisors of g are common divisors, and g
+        is a gcd exactly when they are all of them: when
+        ``len(divisor_ids[g])`` equals the number of common divisors.
+        Masks are built only for the elements the walk visits, those
+        with two irreducible divisors or more.
         """
         div_ids = self.divisor_ids
-        n = len(div_ids)
-        multiples: list[list[int]] = [[] for _ in div_ids]
-        for xi, ds in enumerate(div_ids):
-            for ui in ds:
-                multiples[ui].append(xi)
         sizes = [len(ds) for ds in div_ids]
-        # Per b: common divisors so far, the identity included (0 while b
-        # is unseen for this a), and the last one seen.
-        count = [0] * n
-        last = [0] * n
+        irreducibles = [[ui for ui in sorted(ds) if sizes[ui] == 2]
+                        for ds in div_ids]
+        by_pair: dict[tuple[int, int], list[int]] = {}
+        masks = [0] * len(div_ids)
+        for xi, irr in enumerate(irreducibles):
+            for key in combinations(irr, 2):
+                by_pair.setdefault(key, []).append(xi)
+            if len(irr) > 1:
+                masks[xi] = sum(1 << ui for ui in div_ids[xi])
         out = []
-        for ai, ds in enumerate(div_ids):
-            seen = []
-            for ui in sorted(ds)[1:]:
-                ms = multiples[ui]
-                for bi in ms[bisect_left(ms, ai):]:
-                    if count[bi]:
-                        count[bi] += 1
-                    else:
-                        count[bi] = 2
-                        seen.append(bi)
-                    last[bi] = ui
-            seen.sort()
-            for bi in seen:
-                if count[bi] != sizes[last[bi]]:
-                    out.append((ai, bi, sorted(ds & div_ids[bi])))
-                count[bi] = 0
+        for ai, irr in enumerate(irreducibles):
+            seen: set[int] = set()
+            for key in combinations(irr, 2):
+                xs = by_pair[key]
+                seen.update(xs[bisect_left(xs, ai):])
+            mask_a = masks[ai]
+            for bi in sorted(seen):
+                common = mask_a & masks[bi]
+                if common.bit_count() != sizes[common.bit_length() - 1]:
+                    out.append((ai, bi, sorted(div_ids[ai] & div_ids[bi])))
         return out

@@ -116,3 +116,8 @@ def is_prime(n: int) -> bool:
             return False
         k += 1
     return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, increasing."""
+    return [k for k in range(2, n + 1) if n % k == 0 and is_prime(k)]

@@ -11,6 +11,12 @@ import pytest
 
 from conftest import run_euclidlab
 from euclidlab.cli import run_command
+from euclidlab.factorization import (
+    EuclidLemmaWitness,
+    FactorizationWitness,
+    GcdAbsenceWitness,
+)
+from euclidlab.proportion import TransitivityWitness
 
 C13 = ["--monoid", "congruence 1 mod 3"]
 Q2 = ["--monoid", "quadratic 2"]
@@ -238,6 +244,22 @@ def test_survey_three_properties():
                              "pythagorean_transitive", "unique_factorization"]
     assert all(entry["holds"] is False for entry in flags.values())
     assert all("flag" in w for w in doc["witnesses"])
+
+
+def test_text_survey_renders_no_witness(monkeypatch):
+    argv = ["survey", "--three-properties", "--bound", "250"] + C13
+    expected = run_command(argv)
+
+    def refuse(self):
+        raise AssertionError("text mode rendered a witness payload")
+
+    for cls in (TransitivityWitness, GcdAbsenceWitness,
+                FactorizationWitness, EuclidLemmaWitness):
+        monkeypatch.setattr(cls, "to_payload", refuse)
+    assert run_command(argv) == expected
+    assert expected[0] == 1 and "REFUTED" in expected[1]
+    with pytest.raises(AssertionError, match="rendered a witness"):
+        run_command(argv + ["--json"])  # the patch does reach --json
 
 
 def test_survey_requires_bound_and_mode():

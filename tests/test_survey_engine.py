@@ -6,13 +6,16 @@ pair scans against double loops over all pairs and the definitional
 ``algebraic_gcd``, the table-built factorization witnesses against
 ``factorizations``, the half-square, norm-pruned Euclid-lemma scan
 against a full-square scan in plain integers (for the first failure and
-for each irreducible alone), and the three-property survey against the
-standalone surveys.
+for each irreducible alone), the prime-factor sieve against trial
+division, and the three-property survey against the standalone surveys.
 """
 
 from functools import cmp_to_key
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from euclidlab import (
@@ -26,7 +29,13 @@ from euclidlab import (
     three_property_survey,
     transitivity_survey,
 )
-from euclidlab.factorization import _euclid_lemma_flag, _factorization_ids
+from euclidlab import factorization
+from euclidlab.factorization import (
+    _euclid_lemma_flag,
+    _factorization_ids,
+    _prime_factors,
+    _smallest_prime_factors,
+)
 
 NAT = Naturals()
 C12 = Congruence(1, 2)
@@ -41,11 +50,13 @@ C46 = Congruence(4, 6)
 SPACES = [(NAT, 60), (C12, 100), (C13, 250), (C14, 200), (Q2, 20), (Q5, 30)]
 
 
-@pytest.mark.parametrize("monoid,bound", SPACES)
+@pytest.mark.parametrize(
+    "monoid,bound",
+    SPACES + [(Q3, 24), (Q7, 30), (C46, 300), (NAT, 200)])
 def test_common_divisor_pairs_match_double_loop(monoid, bound):
-    # The count test of pairs_without_gcd against every pair and its full
-    # common-divisor set: a gcd is the largest common divisor, if that one
-    # is a multiple of all the others.
+    # The irreducible-pair walk and its bitmask test against every pair and
+    # its full common-divisor set: a gcd is the largest common divisor, if
+    # that one is a multiple of all the others.
     table = DivisibilityTable(monoid, bound)
     n = len(table.elements)
     expected = []
@@ -81,7 +92,8 @@ def test_survey_flags_match_standalone_surveys(monoid, bound):
     assert flags["euclid_lemma"] == euclid_lemma_survey(monoid, bound)
 
 
-@pytest.mark.parametrize("monoid,bound", [(NAT, 40), (C13, 250), (Q2, 16)])
+@pytest.mark.parametrize("monoid,bound", [(NAT, 40), (C13, 250), (Q2, 16),
+                                          (Q3, 24), (C46, 300)])
 def test_pairs_without_gcd_match_definitional_gcd(monoid, bound):
     table = DivisibilityTable(monoid, bound)
     elems = table.elements
@@ -210,12 +222,17 @@ def test_half_square_lemma_scan_matches_full_square(monoid, bound, space):
     (Q2, 16, lambda b: quadratic_space(2, b)),
     (Q3, 16, lambda b: quadratic_space(3, b)),
     (Q7, 16, lambda b: quadratic_space(7, b)),
+    (Q5, 20, lambda b: quadratic_space(5, b)),
+    (C13, 250, lambda b: scalar_space(1, 3, b)),
 ])
 def test_norm_pruned_scan_matches_full_square_per_irreducible(
         monkeypatch, monoid, bound, space):
     # The scan reports only the first failure over all p; taking one
-    # irreducible at a time checks the norm groups of every later p too.
+    # irreducible at a time checks the norm groups of every later p too,
+    # and the skip of each p whose norm primes list only its multiples.
     members, irreducible, mul, divide = space(bound)
+    if monoid == Q2:  # 1+sqrt(2) has norm 1, which the skip must pass over
+        assert (1, 1) in irreducible
     table = DivisibilityTable(monoid, bound)
     index = {as_oracle_value(e): i for i, e in enumerate(table.elements)}
     for p in irreducible:
@@ -231,12 +248,29 @@ def test_norm_pruned_scan_matches_full_square_per_irreducible(
         assert got == expected
 
 
-@pytest.mark.parametrize("monoid,bound", [(NAT, 150), (C12, 200)])
+@given(st.integers(1, 3000), st.integers(0, 3000))
+def test_prime_factors_match_trial_division(n, extra):
+    spf = _smallest_prime_factors(n + extra)
+    assert _prime_factors(n, spf) == oracles.prime_factors(n)
+    if n > 1:
+        assert spf[n] == oracles.prime_factors(n)[0]
+
+
+@pytest.mark.parametrize("monoid,bound",
+                         [(NAT, 150), (C12, 200), (NAT, 400), (C12, 600)])
 def test_euclid_scan_divides_nothing_where_irreducibles_are_primes(
         monkeypatch, monoid, bound):
-    # Each irreducible is a prime p = N(p) with gcd(N(a), p) = 1 on every
-    # a it does not divide, so the norm test rules out every product.
+    # Each irreducible is a prime p = N(p), and every element whose norm p
+    # divides is a multiple of p, so the scan skips every p: no product is
+    # divided and no norm gcd is taken.
     calls = []
+    gcds = []
+
+    def counting_gcd(*args):
+        gcds.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(factorization, "gcd", counting_gcd)
     for cls in (Naturals, Congruence, Quadratic):
         original = cls._try_divide_parts
 
@@ -246,6 +280,6 @@ def test_euclid_scan_divides_nothing_where_irreducibles_are_primes(
 
         monkeypatch.setattr(cls, "_try_divide_parts", counting)
     assert euclid_lemma_survey(monoid, bound).holds
-    assert calls == []
+    assert calls == [] and gcds == []
     assert not euclid_lemma_survey(Q2, 20).holds
-    assert calls  # the counter sees the divisions where pairs pass
+    assert calls and gcds  # the counters see the work where pairs pass
