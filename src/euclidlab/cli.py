@@ -41,7 +41,6 @@ from .proportion import (
     ProportionQuad,
     ProportionWitness,
     alternando_check,
-    fraction_equal,
     least_pair,
     pythagorean,
     repair_check,

@@ -123,11 +123,23 @@ def euclid_subtractive(a: int, b: int) -> EuclidTrace:
         a, b = b, a
 
 
+def _trial_divisor_limit(n: int, what: str) -> int:
+    """isqrt(n), the last trial divisor for n; raises BoundExceededError
+    before any division when it passes DEFAULT_ENUMERATION_CEILING."""
+    root = isqrt(n)
+    if root > DEFAULT_ENUMERATION_CEILING:
+        raise BoundExceededError(
+            f"{what} of {n} needs {root} trial divisors, over the ceiling "
+            f"of {DEFAULT_ENUMERATION_CEILING}",
+            candidates=root, ceiling=DEFAULT_ENUMERATION_CEILING)
+    return root
+
+
 @lru_cache(maxsize=DIVISOR_SET_CACHE_SIZE)
 def _divisor_set(n: int) -> frozenset[int]:
     """All positive divisors of n, by trial division."""
     small, large = [], []
-    for d in range(1, isqrt(n) + 1):
+    for d in range(1, _trial_divisor_limit(n, "the divisor set") + 1):
         quot, rem = divmod(n, d)
         if rem == 0:
             small.append(d)
@@ -213,7 +225,7 @@ def porism_check(a: int, b: int) -> bool:
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    for d in range(2, isqrt(p) + 1):
+    for d in range(2, _trial_divisor_limit(p, "the primality test") + 1):
         if p % d == 0:
             return False
     return True

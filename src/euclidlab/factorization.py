@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Optional
 
-from .errors import InvalidInputError
 from .monoids import (
     DivisibilityTable,
     Element,
@@ -165,9 +164,20 @@ def factorizations(x: Element, *, ceiling: int | None = None) -> list[Factorizat
 
 def _maximal_common_divisors(common: list, divides) -> list:
     """The members of ``common`` that divide no other member, in order:
-    the maximal common divisors.  ``divides(u, v)`` tests u | v."""
-    return [u for u in common
-            if not any(v != u and divides(u, v) for v in common)]
+    the maximal common divisors.  ``divides(u, v)`` tests u | v.
+
+    ``common`` is in increasing norm order, and one scan from the top
+    keeps u when it divides none of the maximal members already kept.
+    A proper multiple has the larger norm, so every member u divides
+    comes after u and is scanned first.  A maximal u divides none of
+    them and is kept.  A member that divides another divides, going up
+    through multiples, some maximal member, already kept, and is dropped.
+    """
+    maximal = []
+    for u in reversed(common):
+        if not any(divides(u, v) for v in maximal):
+            maximal.append(u)
+    return maximal[::-1]
 
 
 def algebraic_gcd(a: Element, b: Element, *,

@@ -32,11 +32,9 @@ from .errors import (
 #: per call via the ``ceiling`` keyword accepted by enumerating operations.
 DEFAULT_ENUMERATION_CEILING = 1_000_000
 
-#: Entries kept by the enumeration and divisor caches.  An enumeration is
-#: reused only by repeated calls with one bound, and a divisor set mostly
+#: Entries kept by the divisor cache.  A divisor set is reused mostly
 #: within one ``factorizations`` descent, which asks for one set per
 #: divisor of its input.
-ENUMERATION_CACHE_SIZE = 16
 DIVISORS_CACHE_SIZE = 4096
 
 
@@ -541,15 +539,6 @@ def _check_ceiling(monoid: Monoid, bound: tuple[int, ...], ceiling: int) -> None
             candidates=count, ceiling=ceiling)
 
 
-@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
-def _enumerate_cached(monoid: Monoid, bound: tuple[int, ...],
-                      ceiling: int) -> tuple[Element, ...]:
-    _check_ceiling(monoid, bound, ceiling)
-    parts = list(monoid._iter_parts_up_to(bound))
-    parts.sort(key=cmp_to_key(monoid._norm_cmp_parts))
-    return tuple(Element(monoid, p) for p in parts)
-
-
 def enumerate_up_to(monoid: Monoid, bound: int | Element, *,
                     ceiling: int | None = None) -> list[Element]:
     """All elements of norm at most ``bound``, in nondecreasing norm order.
@@ -562,7 +551,10 @@ def enumerate_up_to(monoid: Monoid, bound: int | Element, *,
     bound_parts = monoid._bound_parts(bound)
     if monoid._norm_cmp_parts(bound_parts, monoid._identity_parts()) < 0:
         raise InvalidInputError("bound must be at least the identity norm")
-    return list(_enumerate_cached(monoid, bound_parts, _resolve_ceiling(ceiling)))
+    _check_ceiling(monoid, bound_parts, _resolve_ceiling(ceiling))
+    parts = list(monoid._iter_parts_up_to(bound_parts))
+    parts.sort(key=cmp_to_key(monoid._norm_cmp_parts))
+    return [Element(monoid, p) for p in parts]
 
 
 @lru_cache(maxsize=DIVISORS_CACHE_SIZE)

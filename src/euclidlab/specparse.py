@@ -17,91 +17,54 @@ radical form "a+b*sqrt(d)".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import InvalidInputError, MonoidSpecSyntaxError
 from .monoids import Congruence, Element, Monoid, Naturals, Quadratic
 
+#: One lexeme per match: a whitespace run, a run of letters and digits
+#: (``[^\W_]`` is exactly ``str.isalnum``), or any other single character.
+_LEXEME_RE = re.compile(r"\s+|[^\W_]+|.")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "word" | "int" | "end"
-    text: str
-    line: int
-    column: int
-
-    def describe(self) -> str:
-        return "end of input" if self.kind == "end" else repr(self.text)
+#: Each head word, what follows it and the constructor that takes its INTs
+#: in order.  A quoted slot is that literal word; any other slot is an INT,
+#: named as the error message names it.
+_FORMS = {
+    "nat": ((), Naturals),
+    "congruence": (("a residue", "'mod'", "a modulus"), Congruence),
+    "quadratic": (("a radicand",), Quadratic),
+}
 
 
 def _is_int(text: str) -> bool:
     return text.isascii() and text.isdigit()  # INT is [0-9]+, not any digit
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _error(message: str, source: str, offset: int) -> MonoidSpecSyntaxError:
+    """The error at ``offset``; only a newline starts a new line."""
+    return MonoidSpecSyntaxError(
+        message, line=source.count("\n", 0, offset) + 1,
+        column=offset - source.rfind("\n", 0, offset))
+
+
+def _tokenize(source: str) -> list[tuple[str, int]]:
+    """Each INT or word with its offset, then ``("", len(source))`` for
+    the end of input.  Every token is checked before any is parsed."""
     tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-        elif ch.isspace():
-            column += 1
-            i += 1
-        elif _is_int(ch) or ch.isalpha():
-            kind = "int" if _is_int(ch) else "word"
-            j = i
-            while j < len(source) and source[j].isalnum():
-                j += 1
-            text = source[i:j]
-            if not (_is_int(text) or text.isalpha()):
-                raise MonoidSpecSyntaxError(
-                    f"malformed token {text!r}", line=line, column=column)
-            tokens.append(_Token(kind, text, line, column))
-            column += j - i
-            i = j
-        else:
-            raise MonoidSpecSyntaxError(
-                f"unexpected character {ch!r}", line=line, column=column)
-    tokens.append(_Token("end", "", line, column))
+    for m in _LEXEME_RE.finditer(source):
+        text, offset = m.group(), m.start()
+        if text[0].isspace():
+            continue
+        if not (_is_int(text[0]) or text[0].isalpha()):
+            raise _error(f"unexpected character {text[0]!r}", source, offset)
+        if not (_is_int(text) or text.isalpha()):
+            raise _error(f"malformed token {text!r}", source, offset)
+        tokens.append((text, offset))
+    tokens.append(("", len(source)))
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def next(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "end":
-            self.pos += 1
-        return token
-
-    def expect_int(self, what: str) -> int:
-        token = self.next()
-        if token.kind != "int":
-            raise MonoidSpecSyntaxError(
-                f"expected {what}, got {token.describe()}",
-                line=token.line, column=token.column)
-        return int(token.text)
-
-    def expect_word(self, word: str) -> None:
-        token = self.next()
-        if token.kind != "word" or token.text != word:
-            raise MonoidSpecSyntaxError(
-                f"expected {word!r}, got {token.describe()}",
-                line=token.line, column=token.column)
-
-    def expect_end(self) -> None:
-        token = self.next()
-        if token.kind != "end":
-            raise MonoidSpecSyntaxError(
-                f"unexpected trailing input {token.describe()}",
-                line=token.line, column=token.column)
+def _describe(text: str) -> str:
+    return repr(text) if text else "end of input"
 
 
 def parse_monoid_spec(text: str) -> Monoid:
@@ -110,24 +73,25 @@ def parse_monoid_spec(text: str) -> Monoid:
     Closure of congruence classes and square-freeness of radicands are
     checked by the constructors, so a parsed monoid is always usable.
     """
-    stream = _TokenStream(_tokenize(text))
-    head = stream.next()
-    if head.kind == "word" and head.text == "nat":
-        stream.expect_end()
-        return Naturals()
-    if head.kind == "word" and head.text == "congruence":
-        residue = stream.expect_int("a residue")
-        stream.expect_word("mod")
-        modulus = stream.expect_int("a modulus")
-        stream.expect_end()
-        return Congruence(residue, modulus)
-    if head.kind == "word" and head.text == "quadratic":
-        radicand = stream.expect_int("a radicand")
-        stream.expect_end()
-        return Quadratic(radicand)
-    raise MonoidSpecSyntaxError(
-        f"expected 'nat', 'congruence' or 'quadratic', got {head.describe()}",
-        line=head.line, column=head.column)
+    tokens = iter(_tokenize(text))
+    head, offset = next(tokens)
+    if head not in _FORMS:
+        raise _error("expected 'nat', 'congruence' or 'quadratic', "
+                     f"got {_describe(head)}", text, offset)
+    slots, construct = _FORMS[head]
+    ints = []
+    for slot in slots:
+        token, offset = next(tokens)
+        if slot[0] != "'" and token.isdigit():  # tokens are INTs or words
+            ints.append(int(token))
+        elif slot != repr(token):
+            raise _error(f"expected {slot}, got {_describe(token)}",
+                         text, offset)
+    token, offset = next(tokens)
+    if token:
+        raise _error(f"unexpected trailing input {_describe(token)}",
+                     text, offset)
+    return construct(*ints)
 
 
 _INT_RE = re.compile(r"\s*([0-9]+)\s*\Z")

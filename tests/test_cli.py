@@ -384,6 +384,15 @@ def test_process_large_inputs_answer_or_stop_promptly(args, code):
     assert (proc.stderr == "") == (code in (0, 1))
 
 
+def test_process_trace_of_large_numbers_stops_before_trial_division():
+    # Consecutive Fibonacci numbers: a short trace, but its invariant check
+    # would trial-divide numbers near 2*10**20 up to their square roots.
+    proc = run_process(["trace", "218922995834555169026",
+                        "354224848179261915075"], timeout=30)
+    assert proc.returncode == 3
+    assert proc.stdout == "" and proc.stderr.startswith("euclidlab: bound exceeded")
+
+
 def test_process_trace_with_many_steps_checks_its_invariants_promptly():
     # 333,335 states whose smaller entry is almost always 3: each state's
     # common divisors come from trial division of the smaller entry only.

@@ -193,6 +193,19 @@ def test_porism_frozen():
     assert porism_check(7, 7)
 
 
+def test_trial_division_past_the_ceiling_raises_before_dividing():
+    # The square root of 10**12 is the ceiling itself; one past it, the
+    # divisor sets and the primality test stop before their first division.
+    assert porism_check(10**12, 10**12)
+    n = (10**6 + 1) ** 2
+    for call in (lambda: porism_check(n, n + 1),
+                 lambda: check_loop_invariants(euclid_subtractive(n, n + 1)),
+                 lambda: euclid_lemma_bezout_proof(n, n, 1)):
+        with pytest.raises(BoundExceededError) as err:
+            call()
+        assert (err.value.candidates, err.value.ceiling) == (1_000_001, 1_000_000)
+
+
 # -- the lemma through Bezout -----------------------------------------------------------
 
 def test_lemma_direct_branch():

@@ -367,8 +367,7 @@ def test_divisor_scan_divides_only_norm_divisors_up_to_the_root(
 
 
 def test_caches_are_bounded():
-    for cached in (monoids._enumerate_cached, monoids._divisors_cached,
-                   euclid._divisor_set):
+    for cached in (monoids._divisors_cached, euclid._divisor_set):
         assert cached.cache_info().maxsize is not None
 
 

@@ -2,7 +2,8 @@
 
 Each survey flag runs over one ``DivisibilityTable``; these tests check
 its shortcuts against the plain computations they replace: the shared
-pair scans against double loops over all pairs and the definitional
+pair scans and the top-down maximal-divisor scan against double loops
+over all pairs and the definitional
 ``algebraic_gcd``, the table-built factorization witnesses against
 ``factorizations``, the half-square, norm-pruned Euclid-lemma scan
 against a full-square scan in plain integers (for the first failure and
@@ -33,6 +34,7 @@ from euclidlab import factorization
 from euclidlab.factorization import (
     _euclid_lemma_flag,
     _factorization_ids,
+    _maximal_common_divisors,
     _prime_factors,
     _smallest_prime_factors,
 )
@@ -66,6 +68,24 @@ def test_common_divisor_pairs_match_double_loop(monoid, bound):
             if not table.divisor_ids[common[-1]].issuperset(common):
                 expected.append((ai, bi, common))
     assert table.pairs_without_gcd == expected
+
+
+@pytest.mark.parametrize("monoid,bound", [(C13, 250), (C14, 500), (Q2, 20), (C46, 300)])
+def test_maximal_common_divisors_match_all_pairs_definition(monoid, bound):
+    # The top-down scan against the members of `common` that divide no
+    # other member, on every pair: most pairs have a chain of common
+    # divisors, and some have several maximal ones.
+    table = DivisibilityTable(monoid, bound)
+    n = len(table.elements)
+    several = False
+    for ai in range(n):
+        for bi in range(ai, n):
+            common = sorted(table.divisor_ids[ai] & table.divisor_ids[bi])
+            expected = [u for u in common if not any(
+                v != u and table.divides(u, v) for v in common)]
+            assert _maximal_common_divisors(common, table.divides) == expected
+            several = several or len(expected) > 1
+    assert several
 
 
 @pytest.mark.parametrize("monoid,bound", [(C13, 250), (Q2, 20)])
