@@ -11,7 +11,7 @@ JSON is emitted with sorted keys and no insignificant whitespace, so
 equal inputs produce byte-identical output.  Exit statuses: 0 the
 computation succeeded or the property holds, 1 the property was
 refuted (the report carries witnesses), 2 usage or input error, 3
-ceiling exceeded (enumeration, radicand test or trace length).
+ceiling exceeded (enumeration, radicand test, trace length or INT length).
 Nothing is written to stderr on exit 0 or 1.
 """
 

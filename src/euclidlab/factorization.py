@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Optional
 
+from .euclid import _trial_divisor_limit
 from .monoids import (
     DivisibilityTable,
     Element,
@@ -122,9 +123,7 @@ class EuclidLemmaWitness:
 
 def is_irreducible(x: Element, *, ceiling: int | None = None) -> bool:
     """True when x is not the identity and divides only trivially."""
-    if x.is_identity():
-        return False
-    return len(divisors(x, ceiling=ceiling)) == 2
+    return not x.is_identity() and len(divisors(x, ceiling=ceiling)) == 2
 
 
 def factorizations(x: Element, *, ceiling: int | None = None) -> list[Factorization]:
@@ -215,10 +214,23 @@ def _smallest_prime_factors(limit: int) -> list[int]:
 
 
 def _prime_factors(n: int, spf: list[int]) -> list[int]:
-    """The distinct prime factors of ``1 <= n <= len(spf) - 1``, increasing."""
-    out = []
+    """The distinct prime factors of ``1 <= n < len(spf)**2``, increasing.
+
+    While n is below the sieve's limit ``len(spf)``, its least prime
+    factor is read off the sieve.  From the limit up, it is the least
+    prime q of the sieve, past the last factor found, that divides n;
+    when no prime up to sqrt(n) divides n, n itself is prime.
+    """
+    out, q = [], 2
     while n > 1:
-        q = spf[n]
+        if n < len(spf):
+            q = spf[n]
+        else:
+            root = isqrt(n)
+            while q <= root and (spf[q] != q or n % q):
+                q += 1
+            if q > root:
+                q = n
         out.append(q)
         while n % q == 0:
             n //= q
@@ -251,7 +263,9 @@ def euclid_lemma_survey(monoid: Monoid, bound: int, *,
     of p.  Then g_a = 1 for every a that p does not divide, and N(p)
     does not divide g_a*g_b = 1, so no pair of the scan passes the test.
     The elements under each prime come from one index, built by
-    factoring every norm with a smallest-prime-factor sieve.  An
+    factoring every norm with a smallest-prime-factor sieve up to the
+    square root of the largest norm N, so it holds about sqrt(N) entries,
+    not N; a sqrt(N) past the ceiling raises BoundExceededError.  An
     irreducible of norm 1, such as 1+sqrt(2), is never skipped: N(p) = 1
     divides every product.  In the naturals and in congruence 1 mod 2
     every irreducible is a prime p = N(p), and the elements whose norm
@@ -270,7 +284,8 @@ def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
     parts = [e.parts for e in elems]
     norms = [monoid._norm_parts(x) for x in parts]
     n = len(elems)
-    spf = _smallest_prime_factors(max(norms))
+    spf = _smallest_prime_factors(
+        _trial_divisor_limit(max(norms), "the factorization") + 1)
     # Each rational prime q, with the elements whose norm q divides.
     by_prime: dict[int, list[int]] = {}
     for i, norm in enumerate(norms):

@@ -2,9 +2,10 @@
 
 Three monoids are built in:
 
-* ``Naturals``: the positive integers under multiplication.
 * ``Congruence(r, m)``: ``{n >= 1 : n = r (mod m)}`` with 1 adjoined as
   identity.  Requires ``r*r = r (mod m)`` so the set is closed.
+* ``Naturals``: the positive integers under multiplication, the class of
+  1 mod 1.  It runs on the same scalar kernel as ``Congruence``.
 * ``Quadratic(d)``: numbers ``a + b*sqrt(d)`` with integer ``a, b >= 0``,
   not both zero, for a square-free radicand ``d >= 2``.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, lru_cache, total_ordering
 from itertools import combinations
 from math import isqrt
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from .errors import (
     BoundExceededError,
@@ -67,10 +68,7 @@ def _sign_with_radical(x: int, y: int, d: int) -> int:
 
 def _ceil_sqrt(n: int) -> int:
     """ceil(sqrt(n)) for n >= 0."""
-    if n <= 0:
-        return 0
-    r = isqrt(n - 1)
-    return r + 1
+    return isqrt(n - 1) + 1 if n > 0 else 0
 
 
 @total_ordering
@@ -112,20 +110,16 @@ class Element:
                 f"vs {other.monoid.spec_text()!r}")
         return Element(self.monoid, self.monoid._mul_parts(self.parts, other.parts))
 
-    def _cmp(self, other: "Element") -> int:
+    def __lt__(self, other: "Element") -> bool:
+        if not isinstance(other, Element):
+            return NotImplemented
         if other.monoid != self.monoid:
             raise MonoidMismatchError(
                 f"cannot order across monoids: {self.monoid.spec_text()!r} "
                 f"vs {other.monoid.spec_text()!r}")
-        c = self.monoid._norm_cmp_parts(self.parts, other.parts)
-        if c:
-            return c
-        return (self.parts > other.parts) - (self.parts < other.parts)
-
-    def __lt__(self, other: "Element") -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._cmp(other) < 0
+        # The kernel's order alone: distinct members have distinct values,
+        # since sqrt(d) is irrational.
+        return self.monoid._norm_cmp_parts(self.parts, other.parts) < 0
 
     def render(self) -> str:
         """Canonical text form, e.g. ``42`` or ``3+8*sqrt(2)``."""
@@ -196,8 +190,13 @@ class Monoid:
         raise NotImplementedError
 
     def _bound_parts(self, bound: "int | Element") -> tuple[int, ...]:
-        """Normalize an integer or element bound to comparable parts."""
-        raise NotImplementedError
+        """Normalize an integer or element bound to comparable parts: an
+        integer n stands for the element n, ``(n,)`` or ``(n, 0)``."""
+        if isinstance(bound, Element):
+            if bound.monoid != self:
+                raise MonoidMismatchError("bound element belongs to another monoid")
+            return bound.parts
+        return (_require_int(bound, "bound"),) + self._identity_parts()[1:]
 
     def _count_up_to(self, bound: tuple[int, ...], ceiling: int) -> int:
         """Candidate count for the bound; may raise BoundExceededError early."""
@@ -218,7 +217,26 @@ class Monoid:
 
 
 class _ScalarMonoid(Monoid):
-    """Kernel shared by the one-part monoids: integers under multiplication."""
+    """Kernel of every one-part monoid: the integers ``n >= 1`` with
+    ``n = residue (mod modulus)`` under multiplication, with 1 adjoined.
+    The naturals are the class of 1 mod 1."""
+
+    residue: int
+    modulus: int
+    _ONE_COMPONENT: ClassVar[str] = "a congruence element has one component"
+
+    def _least_member(self) -> int:
+        """Smallest positive integer congruent to the residue."""
+        s = self.residue % self.modulus
+        return s if s else self.modulus
+
+    def contains(self, *parts: int) -> bool:
+        if len(parts) != 1:
+            raise InvalidInputError(self._ONE_COMPONENT)
+        n = _require_int(parts[0], "component")
+        if n < 0:
+            raise InvalidInputError(f"component must not be negative, got {n}")
+        return n == 1 or n > 1 and n % self.modulus == self.residue % self.modulus
 
     def _identity_parts(self):
         return (1,)
@@ -226,18 +244,33 @@ class _ScalarMonoid(Monoid):
     def _mul_parts(self, p, q):
         return (p[0] * q[0],)
 
+    def _try_divide_parts(self, b, a):
+        quot, rem = divmod(b[0], a[0])
+        if rem != 0 or quot < 1:
+            return None
+        if quot != 1 and quot % self.modulus != self.residue % self.modulus:
+            return None
+        return (quot,)
+
     def _norm_cmp_parts(self, p, q):
         return _sign(p[0] - q[0])
 
     def _norm_parts(self, p):
         return p[0]
 
-    def _bound_parts(self, bound):
-        if isinstance(bound, Element):
-            if bound.monoid != self:
-                raise MonoidMismatchError("bound element belongs to another monoid")
-            return bound.parts
-        return (_require_int(bound, "bound"),)
+    def _count_up_to(self, bound, ceiling):
+        n = bound[0]
+        s = self._least_member()
+        in_class = 0 if s > n else (n - s) // self.modulus + 1
+        return in_class if s == 1 else in_class + 1
+
+    def _iter_parts_up_to(self, bound):
+        n = bound[0]
+        s = self._least_member()
+        if s != 1:
+            yield (1,)
+        for k in range(s, n + 1, self.modulus):
+            yield (k,)
 
     def _iter_root_parts(self, x):
         return self._iter_parts_up_to((isqrt(x[0]),))
@@ -251,31 +284,14 @@ class _ScalarMonoid(Monoid):
 
 @dataclass(frozen=True)
 class Naturals(_ScalarMonoid):
-    """Positive integers under multiplication."""
+    """Positive integers under multiplication: the class of 1 mod 1."""
+
+    residue: ClassVar[int] = 1
+    modulus: ClassVar[int] = 1
+    _ONE_COMPONENT: ClassVar[str] = "a natural number has one component"
 
     def spec_text(self) -> str:
         return "nat"
-
-    def contains(self, *parts: int) -> bool:
-        if len(parts) != 1:
-            raise InvalidInputError("a natural number has one component")
-        n = _require_int(parts[0], "component")
-        if n < 0:
-            raise InvalidInputError(f"component must not be negative, got {n}")
-        return n >= 1
-
-    def _try_divide_parts(self, b, a):
-        quot, rem = divmod(b[0], a[0])
-        if rem != 0 or quot < 1:
-            return None
-        return (quot,)
-
-    def _count_up_to(self, bound, ceiling):
-        return bound[0]
-
-    def _iter_parts_up_to(self, bound):
-        for n in range(1, bound[0] + 1):
-            yield (n,)
 
 
 @dataclass(frozen=True)
@@ -304,45 +320,8 @@ class Congruence(_ScalarMonoid):
                 f"closed: product {s * s} has residue {(s * s) % m}, "
                 f"expected {r % m}")
 
-    def _least_member(self) -> int:
-        """Smallest positive integer congruent to the residue."""
-        s = self.residue % self.modulus
-        return s if s else self.modulus
-
     def spec_text(self) -> str:
         return f"congruence {self.residue} mod {self.modulus}"
-
-    def contains(self, *parts: int) -> bool:
-        if len(parts) != 1:
-            raise InvalidInputError("a congruence element has one component")
-        n = _require_int(parts[0], "component")
-        if n < 0:
-            raise InvalidInputError(f"component must not be negative, got {n}")
-        if n == 1:
-            return True
-        return n >= 1 and n % self.modulus == self.residue % self.modulus
-
-    def _try_divide_parts(self, b, a):
-        quot, rem = divmod(b[0], a[0])
-        if rem != 0 or quot < 1:
-            return None
-        if quot != 1 and quot % self.modulus != self.residue % self.modulus:
-            return None
-        return (quot,)
-
-    def _count_up_to(self, bound, ceiling):
-        n = bound[0]
-        s = self._least_member()
-        in_class = 0 if s > n else (n - s) // self.modulus + 1
-        return in_class if s == 1 else in_class + 1
-
-    def _iter_parts_up_to(self, bound):
-        n = bound[0]
-        s = self._least_member()
-        if s != 1:
-            yield (1,)
-        for k in range(s, n + 1, self.modulus):
-            yield (k,)
 
 
 def _square_free(n: int) -> bool:
@@ -432,13 +411,6 @@ class Quadratic(Monoid):
         # The field norm |a^2 - r*b^2|: nonzero because sqrt(r) is irrational.
         a, b = p
         return abs(a * a - self.radicand * b * b)
-
-    def _bound_parts(self, bound):
-        if isinstance(bound, Element):
-            if bound.monoid != self:
-                raise MonoidMismatchError("bound element belongs to another monoid")
-            return bound.parts
-        return (_require_int(bound, "bound"), 0)
 
     def _b_max(self, bound: tuple[int, ...]) -> int:
         # Largest b with b*sqrt(r) <= A + B*sqrt(r).

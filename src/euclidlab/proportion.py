@@ -32,6 +32,7 @@ from .monoids import (
     Monoid,
     Naturals,
     Quadratic,
+    _ScalarMonoid,
     common_divisors,
     try_divide,
 )
@@ -175,34 +176,32 @@ def alternando_check(quad: ProportionQuad, *,
 
 
 def add_elements(x: Element, y: Element) -> Element:
-    """Componentwise sum, for the monoids that have one.
+    """Componentwise sum, for the monoids closed under it.
 
-    Congruence monoids are rejected: they are not closed under
-    addition, and the error carries a concrete escaping sum.
+    Quadratic monoids add componentwise, and so do the scalar monoids of
+    modulus 1 (``nat`` and ``congruence r mod 1``), which hold every
+    n >= 1.  Any other congruence monoid is rejected: it is not closed
+    under addition, and the error carries a concrete escaping sum.
     """
     if x.monoid != y.monoid:
         raise MonoidMismatchError("cannot add elements of different monoids")
     monoid = x.monoid
-    if isinstance(monoid, Naturals):
-        return monoid.element(x.value + y.value)
-    if isinstance(monoid, Quadratic):
-        return monoid.element(x.pair[0] + y.pair[0], x.pair[1] + y.pair[1])
+    if (isinstance(monoid, Quadratic)
+            or isinstance(monoid, _ScalarMonoid) and monoid.modulus == 1):
+        return monoid.element(*(p + q for p, q in zip(x.parts, y.parts)))
     if isinstance(monoid, Congruence):
         u, v = _congruence_sum_escape(monoid)
-        detail = (f": {u}+{v}={u + v} is not a member"
-                  if u is not None else "")
         raise UnsupportedStructureError(
-            f"'{monoid.spec_text()}' is not closed under addition{detail}")
+            f"'{monoid.spec_text()}' is not closed under addition: "
+            f"{u}+{v}={u + v} is not a member")
     raise UnsupportedStructureError(
         f"'{monoid.spec_text()}' has no additive structure")
 
 
-def _congruence_sum_escape(monoid: Congruence):
-    """Two members whose sum falls outside, when one exists (m >= 2)."""
+def _congruence_sum_escape(monoid: Congruence) -> tuple[int, int]:
+    """Two members whose sum falls outside, for a modulus m >= 2."""
     m = monoid.modulus
     t = monoid.residue % m
-    if m == 1:
-        return None, None  # residues mod 1 cover everything
     if t == 0:
         return 1, m  # 1 + m has residue 1, members have residue 0
     if t == 1:

@@ -3,7 +3,7 @@
 Grammar for specs, whitespace separated, keywords case sensitive:
 
     spec := "nat" | "congruence" INT "mod" INT | "quadratic" INT
-    INT  := [0-9]+
+    INT  := [0-9]+    (at most MAX_INT_DIGITS digits, else BoundExceededError)
 
 Syntax problems raise position-annotated errors; semantic problems
 (a congruence class that is not multiplicatively closed, a radicand
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import InvalidInputError, MonoidSpecSyntaxError
+from .errors import BoundExceededError, InvalidInputError, MonoidSpecSyntaxError
 from .monoids import Congruence, Element, Monoid, Naturals, Quadratic
 
 #: One lexeme per match: a whitespace run, a run of letters and digits
@@ -35,8 +35,21 @@ _FORMS = {
 }
 
 
+#: The most digits an INT may have: products of two such numbers, even
+#: under such a radicand, stay below the default 4,300-digit int/str limit.
+MAX_INT_DIGITS = 1000
+
+
 def _is_int(text: str) -> bool:
     return text.isascii() and text.isdigit()  # INT is [0-9]+, not any digit
+
+
+def _int(digits: str) -> int:
+    if len(digits) > MAX_INT_DIGITS:
+        raise BoundExceededError(
+            f"an integer of {len(digits)} digits is over the limit of "
+            f"{MAX_INT_DIGITS}", ceiling=MAX_INT_DIGITS)
+    return int(digits)
 
 
 def _error(message: str, source: str, offset: int) -> MonoidSpecSyntaxError:
@@ -83,7 +96,7 @@ def parse_monoid_spec(text: str) -> Monoid:
     for slot in slots:
         token, offset = next(tokens)
         if slot[0] != "'" and token.isdigit():  # tokens are INTs or words
-            ints.append(int(token))
+            ints.append(_int(token))
         elif slot != repr(token):
             raise _error(f"expected {slot}, got {_describe(token)}",
                          text, offset)
@@ -104,21 +117,21 @@ def parse_element(monoid: Monoid, text: str) -> Element:
     """Parse an element literal and validate membership."""
     if isinstance(monoid, Quadratic):
         if m := _PAIR_RE.match(text):
-            return monoid.element(int(m.group(1)), int(m.group(2)))
+            return monoid.element(_int(m.group(1)), _int(m.group(2)))
         if m := _RADICAL_RE.match(text):
-            a, b, d = (int(g) for g in m.groups())
+            a, b, d = (_int(g) for g in m.groups())
             if d != monoid.radicand:
                 raise InvalidInputError(
                     f"literal {text.strip()!r} uses radicand {d}, "
                     f"but the monoid is '{monoid.spec_text()}'")
             return monoid.element(a, b)
         if m := _INT_RE.match(text):
-            return monoid.element(int(m.group(1)), 0)
+            return monoid.element(_int(m.group(1)), 0)
         raise InvalidInputError(
             f"cannot parse {text!r} as an element of '{monoid.spec_text()}'; "
             "use INT, (a,b) or a+b*sqrt(d)")
     if m := _INT_RE.match(text):
-        return monoid.element(int(m.group(1)))
+        return monoid.element(_int(m.group(1)))
     raise InvalidInputError(
         f"cannot parse {text!r} as an element of '{monoid.spec_text()}'; "
         "use a positive integer")

@@ -376,6 +376,17 @@ def test_process_least_pair_of_a_large_prime_returns_promptly():
     (["divisors", "1", "--monoid", "quadratic 2305843009213693951"], 3),
     # about 5*10**10 subtractions, counted before any is recorded
     (["trace", "2", "100000000001"], 3),
+    # INTs past 1,000 digits stop before conversion; 4,400 digits would
+    # pass the interpreter's int-string limit and raise ValueError.
+    (["gcd", "1" * 4400, "3"], 3),
+    (["divisors", "1", "--monoid", "congruence 1 mod " + "7" * 1001], 3),
+    # products of 1,000-digit INTs render
+    (["proportion", "--fraction", "9" * 1000, "8" * 1000, "7" * 1000,
+      "6" * 1000], 1),
+    # 1,000 elements, but factoring norms near 10**15 needs primes to
+    # about 3*10**7, past the ceiling
+    (["survey", "--euclid-lemma", "--monoid", "congruence 1 mod 10" + "0" * 11,
+      "--bound", "10" + "0" * 14], 3),
 ])
 def test_process_large_inputs_answer_or_stop_promptly(args, code):
     proc = run_process(args, timeout=30)

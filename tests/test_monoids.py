@@ -20,6 +20,7 @@ from euclidlab import (
     divisors,
     enumerate_up_to,
     mul,
+    three_property_survey,
     try_divide,
 )
 from euclidlab import euclid, monoids
@@ -446,3 +447,56 @@ def test_element_value_pair_accessors():
         _ = Q2.element(2, 5).value
     with pytest.raises(InvalidInputError):
         _ = NAT.element(9).pair
+
+
+# -- one scalar kernel: the naturals are the class of 1 mod 1 -------------------
+
+C11 = Congruence(1, 1)
+
+
+def outcome(call, *args):
+    """A call's result, or the type of the error it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_naturals_keep_their_identity_on_the_shared_kernel():
+    assert repr(NAT) == "Naturals()"
+    assert NAT == Naturals() and hash(NAT) == hash(Naturals())
+    assert NAT != C11
+    assert not isinstance(NAT, Congruence)
+    assert (NAT.residue, NAT.modulus) == (1, 1)
+    kernel = [name for name, value in vars(Naturals).items()
+              if callable(value) and not name.startswith("__")]
+    assert kernel == ["spec_text"]
+    with pytest.raises(InvalidInputError, match="a natural number has one component"):
+        NAT.contains(1, 2)
+    with pytest.raises(InvalidInputError, match="a congruence element has one component"):
+        C11.contains(1, 2)
+
+
+def test_naturals_agree_with_congruence_1_mod_1():
+    for n in list(range(-2, 501)) + [True, 2.0, "3", None]:
+        assert outcome(NAT.contains, n) == outcome(C11.contains, n), n
+    assert outcome(NAT.contains) == outcome(C11.contains) == InvalidInputError
+    for b in range(1, 301):
+        for a in range(1, 301):
+            assert (NAT._try_divide_parts((b,), (a,))
+                    == C11._try_divide_parts((b,), (a,))), (b, a)
+    ceiling = monoids.DEFAULT_ENUMERATION_CEILING
+    for n in range(1, 2001):
+        assert NAT._count_up_to((n,), ceiling) == C11._count_up_to((n,), ceiling) == n
+        assert ([d.parts for d in divisors(NAT.element(n))]
+                == [d.parts for d in divisors(C11.element(n))])
+    assert ([e.parts for e in enumerate_up_to(NAT, 2000)]
+            == [e.parts for e in enumerate_up_to(C11, 2000)]
+            == [(n,) for n in range(1, 2001)])
+
+
+def test_naturals_and_congruence_1_mod_1_survey_alike():
+    nat, c11 = ({name: (f.holds, len(f.witnesses))
+                 for name, f in three_property_survey(m, 300).flags.items()}
+                for m in (NAT, C11))
+    assert nat == c11 and set(nat.values()) == {(True, 0)} and len(nat) == 4

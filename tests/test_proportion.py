@@ -201,9 +201,8 @@ def test_congruence_escape_shapes():
     with pytest.raises(UnsupportedStructureError) as err:
         add_elements(Congruence(3, 6).element(3), Congruence(3, 6).element(9))
     assert "3+3=6 is not a member" in str(err.value)
-    with pytest.raises(UnsupportedStructureError) as err:
-        add_elements(Congruence(1, 1).element(2), Congruence(1, 1).element(3))
-    assert "not closed under addition" in str(err.value)
+    c11 = Congruence(1, 1)  # every n >= 1: closed under addition
+    assert add_elements(c11.element(2), c11.element(3)) == c11.element(5)
 
 
 def test_vii6_frozen_naturals():

@@ -7,8 +7,9 @@ over all pairs and the definitional
 ``algebraic_gcd``, the table-built factorization witnesses against
 ``factorizations``, the half-square, norm-pruned Euclid-lemma scan
 against a full-square scan in plain integers (for the first failure and
-for each irreducible alone), the prime-factor sieve against trial
-division, and the three-property survey against the standalone surveys.
+for each irreducible alone), the prime-factor sieve and the trial
+division above its limit against plain trial division, and the
+three-property survey against the standalone surveys.
 """
 
 from functools import cmp_to_key
@@ -268,12 +269,40 @@ def test_norm_pruned_scan_matches_full_square_per_irreducible(
         assert got == expected
 
 
-@given(st.integers(1, 3000), st.integers(0, 3000))
-def test_prime_factors_match_trial_division(n, extra):
+@given(st.integers(1, 3000), st.integers(0, 3000), st.integers(1, 300),
+       st.data())
+def test_prime_factors_match_trial_division(n, extra, limit, data):
     spf = _smallest_prime_factors(n + extra)
     assert _prime_factors(n, spf) == oracles.prime_factors(n)
     if n > 1:
         assert spf[n] == oracles.prime_factors(n)[0]
+    # At or above the sieve's limit, below its square: trial division.
+    spf = _smallest_prime_factors(limit)
+    big = data.draw(st.integers(len(spf), len(spf) ** 2 - 1))
+    assert _prime_factors(big, spf) == oracles.prime_factors(big)
+
+
+def test_prime_factors_above_small_sieves_match_trial_division():
+    for limit in range(1, 30):
+        spf = _smallest_prime_factors(limit)
+        for n in range(1, len(spf) ** 2):
+            assert _prime_factors(n, spf) == oracles.prime_factors(n), (limit, n)
+
+
+def test_euclid_lemma_sieve_stops_at_the_root_of_the_largest_norm(monkeypatch):
+    # Congruence 1 mod 1000 up to 10**6 has 1,000 elements, the largest
+    # 999,001; its norms need primes up to 999 only.
+    limits = []
+
+    def recording(limit):
+        limits.append(limit)
+        return _smallest_prime_factors(limit)
+
+    monkeypatch.setattr(factorization, "_smallest_prime_factors", recording)
+    flag = euclid_lemma_survey(Congruence(1, 1000), 10**6)
+    assert limits and max(limits) <= 1000
+    (w,) = flag.witnesses
+    assert [e.value for e in (w.irreducible, w.a, w.b)] == [1001, 8001, 144001]
 
 
 @pytest.mark.parametrize("monoid,bound",
