@@ -345,17 +345,16 @@ def _cmd_survey(ns, monoid):
     lines = []
     for name, flag in flags.items():
         payload["flags"][name] = {"holds": flag.holds,
-                                  "witness_count": len(flag.witnesses)}
-        if ns.json:  # text mode prints counts only
-            for w in flag.witnesses:
-                entry = w.to_payload()
+                                  "witness_count": flag.witness_count}
+        if ns.json:  # text mode prints counts only and builds no witness
+            for entry in flag.witness_payloads():
                 entry["flag"] = name
                 witnesses.append(entry)
         if flag.holds:
             lines.append(f"{name}: holds up to bound {ns.bound}")
         else:
             lines.append(f"{name}: REFUTED "
-                         f"({len(flag.witnesses)} witness(es))")
+                         f"({flag.witness_count} witness(es))")
     all_hold = all(flag.holds for flag in flags.values())
     return 0 if all_hold else 1, payload, witnesses, lines
 

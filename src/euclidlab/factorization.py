@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Optional
 
@@ -24,6 +25,7 @@ from .monoids import (
     DivisibilityTable,
     Element,
     Monoid,
+    _maximal_common_divisors,
     common_divisors,
     divisors,
     try_divide,
@@ -56,12 +58,61 @@ class GcdReport:
         return self.gcd is not None
 
 
-@dataclass(frozen=True)
 class PropertyFlag:
-    """A surveyed property: holds, or fails with recorded witnesses."""
+    """A surveyed property: holds, or fails with recorded witnesses.
 
-    holds: bool
-    witnesses: tuple = ()
+    A survey flag records each witness as an index tuple into the
+    survey's table.  Its witness class ``kind`` reads one through
+    ``kind.arguments(ids, at)``, which returns the constructor's
+    arguments with each index i read as ``at(i)``, and renders payload
+    arguments through ``kind.payload``, the one payload function of the
+    kind, which ``to_payload`` calls too.  ``witnesses`` builds the
+    objects on its first read; ``witness_count`` and
+    ``witness_payloads`` build none.  Flags compare by
+    ``(holds, witnesses)``.
+    """
+
+    def __init__(self, holds: bool, witnesses: tuple = (), *,
+                 kind: type | None = None, ids: tuple = (),
+                 table: DivisibilityTable | None = None):
+        self.holds, self.kind, self.ids, self.table = holds, kind, ids, table
+        if kind is None:
+            self.ids = self.witnesses = tuple(witnesses)
+
+    @classmethod
+    def from_ids(cls, table: DivisibilityTable, kind: type,
+                 ids: list) -> "PropertyFlag":
+        """The flag over ``table`` that holds when ``ids`` is empty."""
+        return cls(holds=not ids, kind=kind, ids=tuple(ids), table=table)
+
+    @cached_property
+    def witnesses(self) -> tuple:
+        at = self.table.elements.__getitem__
+        return tuple(self.kind(*self.kind.arguments(i, at)) for i in self.ids)
+
+    @property
+    def witness_count(self) -> int:
+        return len(self.ids)
+
+    def witness_payloads(self) -> list[dict]:
+        """The witnesses' JSON payloads, read off the table's per-index
+        payload list through the kind's one payload function."""
+        if self.kind is None:
+            return [w.to_payload() for w in self.witnesses]
+        at = self.table.payloads.__getitem__
+        return [self.kind.payload(*self.kind.arguments(i, at))
+                for i in self.ids]
+
+    def __eq__(self, other):
+        if not isinstance(other, PropertyFlag):
+            return NotImplemented
+        return (self.holds, self.witnesses) == (other.holds, other.witnesses)
+
+    def __hash__(self):
+        return hash((self.holds, self.witnesses))
+
+    def __repr__(self):
+        return f"PropertyFlag(holds={self.holds!r}, witnesses={self.witnesses!r})"
 
 
 @dataclass
@@ -79,12 +130,19 @@ class GcdAbsenceWitness:
     pair: tuple[Element, Element]
     maximal: tuple[Element, ...]
 
+    @staticmethod
+    def arguments(ids, at):
+        a, b, maximal = ids
+        return (at(a), at(b)), tuple(map(at, maximal))
+
+    @staticmethod
+    def payload(pair, maximal) -> dict:
+        return {"kind": "missing_algebraic_gcd", "pair": list(pair),
+                "maximal_common_divisors": list(maximal)}
+
     def to_payload(self) -> dict:
-        return {
-            "kind": "missing_algebraic_gcd",
-            "pair": [e.to_payload() for e in self.pair],
-            "maximal_common_divisors": [e.to_payload() for e in self.maximal],
-        }
+        return self.payload(*self.arguments((*self.pair, self.maximal),
+                                            Element.to_payload))
 
 
 @dataclass(frozen=True)
@@ -92,13 +150,19 @@ class FactorizationWitness:
     element: Element
     factorizations: tuple[tuple[Element, ...], ...]
 
+    @staticmethod
+    def arguments(ids, at):
+        element, factorizations = ids
+        return at(element), tuple(tuple(map(at, fs)) for fs in factorizations)
+
+    @staticmethod
+    def payload(element, factorizations) -> dict:
+        return {"kind": "non_unique_factorization", "element": element,
+                "factorizations": [list(fs) for fs in factorizations]}
+
     def to_payload(self) -> dict:
-        return {
-            "kind": "non_unique_factorization",
-            "element": self.element.to_payload(),
-            "factorizations": [[f.to_payload() for f in fs]
-                               for fs in self.factorizations],
-        }
+        return self.payload(*self.arguments(
+            (self.element, self.factorizations), Element.to_payload))
 
 
 @dataclass(frozen=True)
@@ -108,14 +172,22 @@ class EuclidLemmaWitness:
     b: Element
     product: Element
 
+    @staticmethod
+    def arguments(ids, at):
+        # The product may lie past the bound, outside the table: it is
+        # kept as an element.
+        irreducible, a, b, product = ids
+        return at(irreducible), at(a), at(b), product
+
+    @staticmethod
+    def payload(irreducible, a, b, product) -> dict:
+        return {"kind": "euclid_lemma_failure", "irreducible": irreducible,
+                "a": a, "b": b, "product": product.to_payload()}
+
     def to_payload(self) -> dict:
-        return {
-            "kind": "euclid_lemma_failure",
-            "irreducible": self.irreducible.to_payload(),
-            "a": self.a.to_payload(),
-            "b": self.b.to_payload(),
-            "product": self.product.to_payload(),
-        }
+        return self.payload(*self.arguments(
+            (self.irreducible, self.a, self.b, self.product),
+            Element.to_payload))
 
 
 # -- single-element operations ----------------------------------------------
@@ -134,7 +206,6 @@ def factorizations(x: Element, *, ceiling: int | None = None) -> list[Factorizat
     factor below the previous one, so each multiset appears exactly once;
     the result list is itself canonically ordered.
     """
-    monoid = x.monoid
 
     def irreducible_divisors(y: Element) -> list[Element]:
         return [u for u in divisors(y, nontrivial=True, ceiling=ceiling)
@@ -161,40 +232,19 @@ def factorizations(x: Element, *, ceiling: int | None = None) -> list[Factorizat
     return [Factorization(x, fs) for fs in sorted(descend(x, None))]
 
 
-def _maximal_common_divisors(common: list, divides) -> list:
-    """The members of ``common`` that divide no other member, in order:
-    the maximal common divisors.  ``divides(u, v)`` tests u | v.
-
-    ``common`` is in increasing norm order, and one scan from the top
-    keeps u when it divides none of the maximal members already kept.
-    A proper multiple has the larger norm, so every member u divides
-    comes after u and is scanned first.  A maximal u divides none of
-    them and is kept.  A member that divides another divides, going up
-    through multiples, some maximal member, already kept, and is dropped.
-    """
-    maximal = []
-    for u in reversed(common):
-        if not any(divides(u, v) for v in maximal):
-            maximal.append(u)
-    return maximal[::-1]
-
-
 def algebraic_gcd(a: Element, b: Element, *,
                   ceiling: int | None = None) -> GcdReport:
     """Search for a common divisor that every common divisor divides.
 
     The report lists all common divisors and the maximal ones under
     divisibility; the gcd is present exactly when there is a single
-    maximal common divisor and everything else divides it.
+    maximal common divisor.  Every common divisor divides some maximal
+    one, so a single maximal one is a multiple of them all.
     """
     common = common_divisors(a, b, ceiling=ceiling)
     maximal = _maximal_common_divisors(
-        common, lambda u, v: try_divide(v, u) is not None)
-    gcd_elem = None
-    if len(maximal) == 1:
-        candidate = maximal[0]
-        if all(try_divide(candidate, u) is not None for u in common):
-            gcd_elem = candidate
+        common, lambda v: divisors(v, ceiling=ceiling))
+    gcd_elem = maximal[0] if len(maximal) == 1 else None
     return GcdReport(pair=(a, b), common=tuple(common),
                      maximal=tuple(maximal), gcd=gcd_elem)
 
@@ -284,8 +334,10 @@ def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
     parts = [e.parts for e in elems]
     norms = [monoid._norm_parts(x) for x in parts]
     n = len(elems)
+    # Up to sqrt(max norm) the sieve is needed; up to the element count,
+    # which the enumeration ceiling bounds, it spares trial divisions.
     spf = _smallest_prime_factors(
-        _trial_divisor_limit(max(norms), "the factorization") + 1)
+        max(_trial_divisor_limit(max(norms), "the factorization") + 1, n))
     # Each rational prime q, with the elements whose norm q divides.
     by_prime: dict[int, list[int]] = {}
     for i, norm in enumerate(norms):
@@ -317,61 +369,22 @@ def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
             for k in ks[bisect_left(ks, j):]:
                 product = mul_parts(a, parts[coprime[k]])
                 if divide_parts(product, p) is not None:
-                    witness = EuclidLemmaWitness(
-                        irreducible=elems[pi], a=elems[ai],
-                        b=elems[coprime[k]], product=Element(monoid, product))
-                    return PropertyFlag(holds=False, witnesses=(witness,))
-    return PropertyFlag(holds=True)
+                    return PropertyFlag.from_ids(table, EuclidLemmaWitness, [
+                        (pi, ai, coprime[k], Element(monoid, product))])
+    return PropertyFlag.from_ids(table, EuclidLemmaWitness, [])
 
 
 def _gcd_existence_flag(table: DivisibilityTable) -> PropertyFlag:
     """Algebraic gcds for every pair of elements in the table."""
-    elems = table.elements
-    failures = []
-    for ai, bi, common in table.pairs_without_gcd:
-        maximal = _maximal_common_divisors(common, table.divides)
-        failures.append(GcdAbsenceWitness(
-            pair=(elems[ai], elems[bi]),
-            maximal=tuple(elems[ui] for ui in maximal)))
-    return PropertyFlag(holds=not failures, witnesses=tuple(failures))
-
-
-def _factorization_ids(table: DivisibilityTable) -> list[tuple[tuple[int, ...], ...]]:
-    """Each element's ``factorizations``, as sorted index tuples in
-    increasing order, read off the table's quotients.  Index order is
-    element order: the table is sorted by norm, and norms are distinct.
-    """
-    n = len(table.elements)
-    irreducible = [table.is_irreducible(i) for i in range(n)]
-    memo: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-    def descend(xi: int, floor: int) -> tuple[tuple[int, ...], ...]:
-        if xi == 0:  # the identity: empty product only
-            return ((),)
-        key = (xi, floor)
-        if key in memo:
-            return memo[key]
-        out = []
-        for pi in sorted(table.divisor_ids[xi]):
-            if pi < floor or not irreducible[pi]:
-                continue
-            out.extend((pi,) + tail
-                       for tail in descend(table.quotient[(xi, pi)], pi))
-        memo[key] = tuple(out)
-        return memo[key]
-
-    return [descend(xi, 0) for xi in range(n)]
+    return PropertyFlag.from_ids(table, GcdAbsenceWitness, [
+        (ai, bi, maximal) for (ai, bi, _), maximal
+        in zip(table.pairs_without_gcd, table.maximal_common_divisors)])
 
 
 def _unique_factorization_flag(table: DivisibilityTable) -> PropertyFlag:
-    elems = table.elements
-    failures = [FactorizationWitness(
-                    element=elems[xi],
-                    factorizations=tuple(tuple(elems[i] for i in fs)
-                                         for fs in all_fs))
-                for xi, all_fs in enumerate(_factorization_ids(table))
-                if len(all_fs) > 1]
-    return PropertyFlag(holds=not failures, witnesses=tuple(failures))
+    return PropertyFlag.from_ids(table, FactorizationWitness, [
+        (xi, fs) for xi, fs in enumerate(table.factorization_ids)
+        if len(fs) > 1])
 
 
 def three_property_survey(monoid: Monoid, bound: int, *,

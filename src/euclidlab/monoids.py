@@ -576,6 +576,28 @@ def common_divisors(a: Element, b: Element, *,
             if monoid._try_divide_parts(b.parts, u.parts) is not None]
 
 
+def _maximal_common_divisors(common: list, divisors_of) -> list:
+    """The members of ``common`` that divide no other member, in order:
+    the maximal common divisors.  ``divisors_of(v)`` lists the divisors
+    of v.
+
+    ``common`` is in increasing norm order, and one scan from the top
+    keeps u unless u is in the running union of the kept members'
+    divisor sets.  A proper multiple has the larger norm, so every
+    member u divides comes after u and is scanned first.  A maximal u
+    divides none of them and is kept.  A member that divides another
+    divides, going up through multiples, some maximal member, already
+    kept, and is dropped.
+    """
+    maximal: list = []
+    covered: set = set()
+    for u in reversed(common):
+        if u not in covered:
+            maximal.append(u)
+            covered.update(divisors_of(u))
+    return maximal[::-1]
+
+
 # ---------------------------------------------------------------------------
 # Shared divisibility table for surveys
 
@@ -597,15 +619,17 @@ class DivisibilityTable:
         self.elements = enumerate_up_to(monoid, bound, ceiling=ceiling)
         self.index = {e.parts: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
-        bound_parts = monoid._bound_parts(bound)
+        parts = [e.parts for e in self.elements]
+        mul, find = monoid._mul_parts, self.index.get
         div_sets: list[set[int]] = [set() for _ in range(n)]
         quotient: dict[tuple[int, int], int] = {}
-        for ui, u in enumerate(self.elements):
+        for ui, u in enumerate(parts):
             for vi in range(ui, n):
-                p = monoid._mul_parts(u.parts, self.elements[vi].parts)
-                if monoid._norm_cmp_parts(p, bound_parts) > 0:
-                    break  # products grow with v; later v only get bigger
-                pi = self.index[p]
+                # A product is a member, so it is listed exactly when it
+                # is within the bound; products grow with v.
+                pi = find(mul(u, parts[vi]))
+                if pi is None:
+                    break
                 div_sets[pi].add(ui)
                 div_sets[pi].add(vi)
                 quotient[(pi, ui)] = vi
@@ -620,9 +644,44 @@ class DivisibilityTable:
         return len(self.divisor_ids[xi]) == 2
 
     @cached_property
+    def irreducible_divisors(self) -> list[list[int]]:
+        """Each element's irreducible divisor ids, increasing."""
+        irreducible = [len(ds) == 2 for ds in self.divisor_ids]
+        return [sorted(filter(irreducible.__getitem__, ds))
+                for ds in self.divisor_ids]
+
+    @cached_property
+    def factorization_ids(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Each element's factorizations into irreducibles, as sorted index
+        tuples in increasing order, read off the quotients.  Index order
+        is element order: the table is sorted by norm, and norms are
+        distinct.  A factorization of x is its least factor p, an
+        irreducible divisor, followed by a factorization of x/p whose
+        least factor is p or more; x/p comes before x, in norm order.
+        """
+        irreducibles, quotient = self.irreducible_divisors, self.quotient
+        out: list[tuple[tuple[int, ...], ...]] = [((),)]  # the identity
+        for xi in range(1, len(self.elements)):
+            out.append(tuple((pi,) + tail for pi in irreducibles[xi]
+                             for tail in out[quotient[(xi, pi)]]
+                             if not tail or tail[0] >= pi))
+        return out
+
+    @cached_property
     def pairs_without_gcd(self) -> list[tuple[int, int, list[int]]]:
         """``(ai, bi, common)`` for the index pairs ``ai <= bi`` with no
         algebraic gcd, in ``(ai, bi)`` order, ``common`` sorted.
+
+        A pair whose members each have one factorization has a gcd.  If
+        a = d*e, a factorization of d joined to one of e factors a, so
+        every factorization of a divisor d of a is a sub-multiset of a's
+        only factorization.  A common divisor d of a and b thus factors
+        inside the multiset intersection I of their factorizations.  The
+        product g of I divides a and b, and d divides g, the cofactor
+        being the product of I minus d's factors.  So g is a gcd.  When
+        every element factors uniquely the scan returns at once, and
+        otherwise it visits only pairs with a member that factors in
+        several ways.
 
         Only pairs that share two distinct irreducibles can lack a gcd.
         Every element factors into irreducibles, by descent on the norm
@@ -631,38 +690,53 @@ class DivisibilityTable:
         so it is a power of p; the common divisors form a chain, and its
         top is a gcd.  With no shared irreducible the identity is the
         gcd.  So the scan indexes the elements by each pair {p, q} of
-        their distinct irreducible divisors and, for each a, walks the
-        lists of a's own pairs from a onwards, visiting each b once.
+        their distinct irreducible divisors, once over all elements and
+        once over those with several factorizations.  Each a walks the
+        lists of a's own pairs from a onwards, visiting each b once: the
+        first index when a factors in several ways, the second when a
+        factors uniquely.
 
-        The gcd test is decided from counts, on bitmasks of divisor ids.
-        Let g be the common divisor of largest norm, the top set bit of
-        ``m_a & m_b`` (ids are in norm order).  Every divisor of g
-        divides a and b, so the divisors of g are common divisors, and g
-        is a gcd exactly when they are all of them: when
-        ``len(divisor_ids[g])`` equals the number of common divisors.
-        Masks are built only for the elements the walk visits, those
-        with two irreducible divisors or more.
+        The gcd test is decided from counts.  Let g be the common divisor
+        of largest norm, the largest id in both divisor sets (ids are in
+        norm order).  Every divisor of g divides a and b, so the divisors
+        of g are common divisors, and g is a gcd exactly when they are
+        all of them: when ``len(divisor_ids[g])`` equals the number of
+        common divisors.
         """
-        div_ids = self.divisor_ids
-        sizes = [len(ds) for ds in div_ids]
-        irreducibles = [[ui for ui in sorted(ds) if sizes[ui] == 2]
-                        for ds in div_ids]
+        several = [len(fs) > 1 for fs in self.factorization_ids]
+        if not any(several):
+            return []
+        div_ids, irreducibles = self.divisor_ids, self.irreducible_divisors
         by_pair: dict[tuple[int, int], list[int]] = {}
-        masks = [0] * len(div_ids)
+        several_by_pair: dict[tuple[int, int], list[int]] = {}
         for xi, irr in enumerate(irreducibles):
             for key in combinations(irr, 2):
                 by_pair.setdefault(key, []).append(xi)
-            if len(irr) > 1:
-                masks[xi] = sum(1 << ui for ui in div_ids[xi])
+                if several[xi]:
+                    several_by_pair.setdefault(key, []).append(xi)
         out = []
         for ai, irr in enumerate(irreducibles):
+            index = by_pair if several[ai] else several_by_pair
             seen: set[int] = set()
             for key in combinations(irr, 2):
-                xs = by_pair[key]
+                xs = index.get(key, ())
                 seen.update(xs[bisect_left(xs, ai):])
-            mask_a = masks[ai]
+            div_a = div_ids[ai]
             for bi in sorted(seen):
-                common = mask_a & masks[bi]
-                if common.bit_count() != sizes[common.bit_length() - 1]:
-                    out.append((ai, bi, sorted(div_ids[ai] & div_ids[bi])))
+                common = div_a & div_ids[bi]
+                if len(div_ids[max(common)]) != len(common):
+                    out.append((ai, bi, sorted(common)))
         return out
+
+    @cached_property
+    def maximal_common_divisors(self) -> list[list[int]]:
+        """The maximal common divisor ids of each pair of
+        ``pairs_without_gcd``, in the same order."""
+        divisors_of = self.divisor_ids.__getitem__
+        return [_maximal_common_divisors(common, divisors_of)
+                for _, _, common in self.pairs_without_gcd]
+
+    @cached_property
+    def payloads(self) -> list[int | list[int]]:
+        """Each element's JSON payload, by index."""
+        return [e.to_payload() for e in self.elements]

@@ -414,13 +414,19 @@ class TransitivityWitness:
                 and pythagorean(ProportionQuad(la, lb, ra, rb),
                                 ceiling=ceiling) is None)
 
+    @staticmethod
+    def arguments(ids, at):
+        la, lb, ma, mb, ra, rb = map(at, ids)
+        return (la, lb), (ma, mb), (ra, rb)
+
+    @staticmethod
+    def payload(left, middle, right) -> dict:
+        return {"kind": "transitivity_failure", "left": list(left),
+                "middle": list(middle), "right": list(right)}
+
     def to_payload(self) -> dict:
-        return {
-            "kind": "transitivity_failure",
-            "left": [e.to_payload() for e in self.left],
-            "middle": [e.to_payload() for e in self.middle],
-            "right": [e.to_payload() for e in self.right],
-        }
+        return self.payload(*self.arguments(
+            (*self.left, *self.middle, *self.right), Element.to_payload))
 
 
 def transitivity_survey(monoid: Monoid, bound: int, *,
@@ -443,8 +449,12 @@ def transitivity_survey(monoid: Monoid, bound: int, *,
     multiple of both x1 and x2.  If k1/y1 = k2/y2 = (s, t), then
     c = x1*y1*s = x2*y2*s, and cancelling s gives z = x1*y1 = x2*y2,
     which divides c and d; conversely such a z gives (c/z, d/z) as
-    k1/y1 and k2/y2.  So the flag compares the common divisors above
-    x1 with those above x2; a comparable x1 | x2 never conflicts.
+    k1/y1 and k2/y2.  Such a z exists exactly when a maximal common
+    divisor is a multiple of both: the common divisors are finite and
+    divisibility is transitive, so every z divides a maximal one.  So
+    the flag compares the maximal common divisors above x1 with those
+    above x2, over the table's maximal lists; a comparable x1 | x2
+    never conflicts.
     """
     table = DivisibilityTable(monoid, bound, ceiling=ceiling)
     report = SurveyReport(monoid=monoid, bound=bound)
@@ -454,21 +464,18 @@ def transitivity_survey(monoid: Monoid, bound: int, *,
 
 def _transitivity_flag(table: DivisibilityTable) -> PropertyFlag:
     """Transitivity over the table; see transitivity_survey."""
-    failures = []
-    for ci, di, common in table.pairs_without_gcd:
-        # Bit j of above[x] is set when x divides common[j].
-        above = {x: sum(1 << j for j, z in enumerate(common)
-                        if table.divides(x, z))
-                 for x in common}
-        for x1, x2 in combinations(common, 2):
-            if above[x1] & above[x2]:
-                continue
-            k1 = (table.quotient[(ci, x1)], table.quotient[(di, x1)])
-            k2 = (table.quotient[(ci, x2)], table.quotient[(di, x2)])
-            left, right = sorted([k1, k2])
-            failures.append(TransitivityWitness(
-                left=(table.elements[left[0]], table.elements[left[1]]),
-                middle=(table.elements[ci], table.elements[di]),
-                right=(table.elements[right[0]], table.elements[right[1]]),
-            ))
-    return PropertyFlag(holds=not failures, witnesses=tuple(failures))
+    div_ids, quotient = table.divisor_ids, table.quotient
+    ids = []
+    for (ci, di, common), maximal in zip(table.pairs_without_gcd,
+                                         table.maximal_common_divisors):
+        # Bit k of above[x] is set when x divides maximal[k].
+        above = dict.fromkeys(common, 0)
+        for k, m in enumerate(maximal):
+            for x in div_ids[m]:
+                above[x] |= 1 << k
+        rows = [(above[x], quotient[(ci, x)], quotient[(di, x)]) for x in common]
+        for (above1, c1, d1), (above2, c2, d2) in combinations(rows, 2):
+            if not above1 & above2:  # c/x1 != c/x2, as x1 != x2
+                ids.append((c1, d1, ci, di, c2, d2) if c1 < c2
+                           else (c2, d2, ci, di, c1, d1))
+    return PropertyFlag.from_ids(table, TransitivityWitness, ids)

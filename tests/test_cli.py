@@ -250,16 +250,24 @@ def test_text_survey_renders_no_witness(monkeypatch):
     argv = ["survey", "--three-properties", "--bound", "250"] + C13
     expected = run_command(argv)
 
-    def refuse(self):
-        raise AssertionError("text mode rendered a witness payload")
+    def refuse(*args, **kwargs):
+        raise AssertionError("text mode rendered a witness")
 
-    for cls in (TransitivityWitness, GcdAbsenceWitness,
-                FactorizationWitness, EuclidLemmaWitness):
-        monkeypatch.setattr(cls, "to_payload", refuse)
-    assert run_command(argv) == expected
+    # Text mode builds no witness object and renders no payload; --json
+    # renders each kind's witnesses through that kind's payload function.
+    kinds = (TransitivityWitness, GcdAbsenceWitness,
+             FactorizationWitness, EuclidLemmaWitness)
+    with monkeypatch.context() as m:
+        for cls in kinds:
+            m.setattr(cls, "__init__", refuse)
+            m.setattr(cls, "payload", staticmethod(refuse))
+        assert run_command(argv) == expected
     assert expected[0] == 1 and "REFUTED" in expected[1]
-    with pytest.raises(AssertionError, match="rendered a witness"):
-        run_command(argv + ["--json"])  # the patch does reach --json
+    for cls in kinds:
+        with monkeypatch.context() as m:
+            m.setattr(cls, "payload", staticmethod(refuse))
+            with pytest.raises(AssertionError, match="rendered a witness"):
+                run_command(argv + ["--json"])  # the patch does reach --json
 
 
 def test_survey_requires_bound_and_mode():

@@ -17,7 +17,6 @@ from euclidlab import (
     is_irreducible,
     three_property_survey,
 )
-from euclidlab.factorization import _factorization_ids
 
 NAT = Naturals()
 C13 = Congruence(1, 3)
@@ -99,7 +98,7 @@ def test_factorizations_naturals_unique_and_sorted(n):
 def test_factorization_counts_agree_with_enumeration(monoid, bound):
     # table-built factorization counts vs the branching enumerator
     table = DivisibilityTable(monoid, bound)
-    for x, fs in zip(table.elements, _factorization_ids(table)):
+    for x, fs in zip(table.elements, table.factorization_ids):
         assert len(factorizations(x)) == len(fs)
 
 

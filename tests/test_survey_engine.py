@@ -12,6 +12,7 @@ division above its limit against plain trial division, and the
 three-property survey against the standalone surveys.
 """
 
+import json
 from functools import cmp_to_key
 from math import gcd
 
@@ -24,17 +25,22 @@ from euclidlab import (
     Congruence,
     DivisibilityTable,
     Naturals,
+    PropertyFlag,
     Quadratic,
+    TransitivityWitness,
     algebraic_gcd,
     euclid_lemma_survey,
     factorizations,
     three_property_survey,
     transitivity_survey,
 )
-from euclidlab import factorization
+from euclidlab import factorization, monoids
+from euclidlab.cli import run_command
 from euclidlab.factorization import (
+    EuclidLemmaWitness,
+    FactorizationWitness,
+    GcdAbsenceWitness,
     _euclid_lemma_flag,
-    _factorization_ids,
     _maximal_common_divisors,
     _prime_factors,
     _smallest_prime_factors,
@@ -84,7 +90,8 @@ def test_maximal_common_divisors_match_all_pairs_definition(monoid, bound):
             common = sorted(table.divisor_ids[ai] & table.divisor_ids[bi])
             expected = [u for u in common if not any(
                 v != u and table.divides(u, v) for v in common)]
-            assert _maximal_common_divisors(common, table.divides) == expected
+            assert _maximal_common_divisors(
+                common, table.divisor_ids.__getitem__) == expected
             several = several or len(expected) > 1
     assert several
 
@@ -92,7 +99,7 @@ def test_maximal_common_divisors_match_all_pairs_definition(monoid, bound):
 @pytest.mark.parametrize("monoid,bound", [(C13, 250), (Q2, 20)])
 def test_table_factorizations_match_definitional_route(monoid, bound):
     table = DivisibilityTable(monoid, bound)
-    ids = _factorization_ids(table)
+    ids = table.factorization_ids
     assert any(len(fs) > 1 for fs in ids)
     for x, fs in zip(table.elements, ids):
         if len(fs) > 1:
@@ -114,13 +121,43 @@ def test_survey_flags_match_standalone_surveys(monoid, bound):
 
 
 @pytest.mark.parametrize("monoid,bound", [(NAT, 40), (C13, 250), (Q2, 16),
-                                          (Q3, 24), (C46, 300)])
+                                          (Q3, 24), (C46, 300), (Q5, 20)])
 def test_pairs_without_gcd_match_definitional_gcd(monoid, bound):
     table = DivisibilityTable(monoid, bound)
     elems = table.elements
     expected = [(ai, bi) for ai in range(len(elems)) for bi in range(ai, len(elems))
                 if algebraic_gcd(elems[ai], elems[bi]).gcd is None]
     assert [(ai, bi) for ai, bi, _ in table.pairs_without_gcd] == expected
+
+
+@pytest.mark.parametrize("monoid,bound", [(C13, 250), (Q2, 20), (Q5, 20), (C46, 300)])
+def test_pairs_of_uniquely_factoring_members_have_a_gcd(monoid, bound):
+    # The cut of the pair scan, on the definitional routes alone: each
+    # member's factorizations by descent, the gcd by its common divisors.
+    elems = DivisibilityTable(monoid, bound).elements
+    unique = [x for x in elems if len(factorizations(x)) == 1]
+    assert len(unique) < len(elems)
+    for pos, a in enumerate(unique):
+        for b in unique[pos:]:
+            assert algebraic_gcd(a, b).gcd is not None, (a, b)
+
+
+def test_pair_scan_indexes_nothing_where_every_element_factors_uniquely(
+        monkeypatch):
+    calls = []
+    original = monoids.combinations
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(monoids, "combinations", counting)
+    for monoid, bound in [(NAT, 400), (C12, 600)]:
+        report = three_property_survey(monoid, bound)
+        assert all(flag.holds for flag in report.flags.values())
+    assert calls == []
+    assert not three_property_survey(Q2, 20).flags["algebraic_gcds_exist"].holds
+    assert calls  # the counter sees the scan where it runs
 
 
 def simplifications(table, ai, bi):
@@ -332,3 +369,66 @@ def test_euclid_scan_divides_nothing_where_irreducibles_are_primes(
     assert calls == [] and gcds == []
     assert not euclid_lemma_survey(Q2, 20).holds
     assert calls and gcds  # the counters see the work where pairs pass
+
+
+def test_euclid_lemma_sieve_reaches_the_element_count(monkeypatch):
+    # nat up to 3,000: the square root of the largest norm is 54, and the
+    # sieve runs up to the 3,000 elements, sparing every trial division.
+    limits = []
+
+    def recording(limit):
+        limits.append(limit)
+        return _smallest_prime_factors(limit)
+
+    monkeypatch.setattr(factorization, "_smallest_prime_factors", recording)
+    assert euclid_lemma_survey(NAT, 3000).holds
+    assert limits and max(limits) >= 3000
+
+
+# -- lazy witnesses -----------------------------------------------------------
+
+
+def direct_witness(kind, ids, elements):
+    """The witness an index tuple stands for, built here by hand."""
+    at = elements.__getitem__
+    if kind is GcdAbsenceWitness:
+        a, b, maximal = ids
+        return GcdAbsenceWitness(pair=(at(a), at(b)),
+                                 maximal=tuple(map(at, maximal)))
+    if kind is FactorizationWitness:
+        x, all_fs = ids
+        return FactorizationWitness(
+            element=at(x),
+            factorizations=tuple(tuple(map(at, fs)) for fs in all_fs))
+    if kind is EuclidLemmaWitness:
+        p, a, b, product = ids
+        assert product == at(a) * at(b)
+        return EuclidLemmaWitness(irreducible=at(p), a=at(a), b=at(b),
+                                  product=product)
+    assert kind is TransitivityWitness
+    la, lb, ma, mb, ra, rb = map(at, ids)
+    return TransitivityWitness(left=(la, lb), middle=(ma, mb), right=(ra, rb))
+
+
+@pytest.mark.parametrize("monoid,bound", [(C13, 250), (Q2, 20), (Q3, 24)])
+def test_lazy_witnesses_match_index_tuples_and_json(monoid, bound):
+    report = three_property_survey(monoid, bound)
+    code, text = run_command(["survey", "--three-properties", "--json",
+                              "--monoid", monoid.spec_text(),
+                              "--bound", str(bound)])
+    assert code == 1
+    entries = json.loads(text)["witnesses"]
+    for name, flag in report.flags.items():
+        assert "witnesses" not in vars(flag)  # nothing built yet
+        expected = tuple(direct_witness(flag.kind, ids, flag.table.elements)
+                         for ids in flag.ids)
+        assert flag.witnesses == expected
+        assert flag.witness_count == len(expected)
+        assert flag.holds == (not expected)
+        rendered = [{k: v for k, v in entry.items() if k != "flag"}
+                    for entry in entries if entry["flag"] == name]
+        assert rendered == [w.to_payload() for w in flag.witnesses]
+        assert flag == PropertyFlag(holds=flag.holds, witnesses=expected)
+        if expected:
+            assert flag != PropertyFlag(holds=False, witnesses=expected[1:])
+    assert not all(flag.holds for flag in report.flags.values())
