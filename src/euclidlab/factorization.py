@@ -68,22 +68,13 @@ class PropertyFlag:
     arguments through ``kind.payload``, the one payload function of the
     kind, which ``to_payload`` calls too.  ``witnesses`` builds the
     objects on its first read; ``witness_count`` and
-    ``witness_payloads`` build none.  Flags compare by
-    ``(holds, witnesses)``.
+    ``witness_payloads`` build none.  The flag holds when ``ids`` is
+    empty.  Flags compare by ``(holds, witnesses)``.
     """
 
-    def __init__(self, holds: bool, witnesses: tuple = (), *,
-                 kind: type | None = None, ids: tuple = (),
-                 table: DivisibilityTable | None = None):
-        self.holds, self.kind, self.ids, self.table = holds, kind, ids, table
-        if kind is None:
-            self.ids = self.witnesses = tuple(witnesses)
-
-    @classmethod
-    def from_ids(cls, table: DivisibilityTable, kind: type,
-                 ids: list) -> "PropertyFlag":
-        """The flag over ``table`` that holds when ``ids`` is empty."""
-        return cls(holds=not ids, kind=kind, ids=tuple(ids), table=table)
+    def __init__(self, table: DivisibilityTable, kind: type, ids):
+        self.table, self.kind, self.ids = table, kind, tuple(ids)
+        self.holds = not self.ids
 
     @cached_property
     def witnesses(self) -> tuple:
@@ -97,8 +88,6 @@ class PropertyFlag:
     def witness_payloads(self) -> list[dict]:
         """The witnesses' JSON payloads, read off the table's per-index
         payload list through the kind's one payload function."""
-        if self.kind is None:
-            return [w.to_payload() for w in self.witnesses]
         at = self.table.payloads.__getitem__
         return [self.kind.payload(*self.kind.arguments(i, at))
                 for i in self.ids]
@@ -193,12 +182,12 @@ class EuclidLemmaWitness:
 # -- single-element operations ----------------------------------------------
 
 
-def is_irreducible(x: Element, *, ceiling: int | None = None) -> bool:
+def is_irreducible(x: Element) -> bool:
     """True when x is not the identity and divides only trivially."""
-    return not x.is_identity() and len(divisors(x, ceiling=ceiling)) == 2
+    return not x.is_identity() and len(divisors(x)) == 2
 
 
-def factorizations(x: Element, *, ceiling: int | None = None) -> list[Factorization]:
+def factorizations(x: Element) -> list[Factorization]:
     """Every factorization of x into irreducibles, as sorted multisets.
 
     The identity factors as the empty product.  Branching walks
@@ -208,8 +197,7 @@ def factorizations(x: Element, *, ceiling: int | None = None) -> list[Factorizat
     """
 
     def irreducible_divisors(y: Element) -> list[Element]:
-        return [u for u in divisors(y, nontrivial=True, ceiling=ceiling)
-                if is_irreducible(u, ceiling=ceiling)]
+        return [u for u in divisors(y, nontrivial=True) if is_irreducible(u)]
 
     memo: dict[tuple[Element, Element | None], tuple[tuple[Element, ...], ...]] = {}
 
@@ -232,8 +220,7 @@ def factorizations(x: Element, *, ceiling: int | None = None) -> list[Factorizat
     return [Factorization(x, fs) for fs in sorted(descend(x, None))]
 
 
-def algebraic_gcd(a: Element, b: Element, *,
-                  ceiling: int | None = None) -> GcdReport:
+def algebraic_gcd(a: Element, b: Element) -> GcdReport:
     """Search for a common divisor that every common divisor divides.
 
     The report lists all common divisors and the maximal ones under
@@ -241,9 +228,8 @@ def algebraic_gcd(a: Element, b: Element, *,
     maximal common divisor.  Every common divisor divides some maximal
     one, so a single maximal one is a multiple of them all.
     """
-    common = common_divisors(a, b, ceiling=ceiling)
-    maximal = _maximal_common_divisors(
-        common, lambda v: divisors(v, ceiling=ceiling))
+    common = common_divisors(a, b)
+    maximal = _maximal_common_divisors(common, divisors)
     gcd_elem = maximal[0] if len(maximal) == 1 else None
     return GcdReport(pair=(a, b), common=tuple(common),
                      maximal=tuple(maximal), gcd=gcd_elem)
@@ -287,8 +273,7 @@ def _prime_factors(n: int, spf: list[int]) -> list[int]:
     return out
 
 
-def euclid_lemma_survey(monoid: Monoid, bound: int, *,
-                        ceiling: int | None = None) -> PropertyFlag:
+def euclid_lemma_survey(monoid: Monoid, bound: int) -> PropertyFlag:
     """Check p | a*b implies p | a or p | b for all irreducibles p and
     elements a, b of norm at most bound.
 
@@ -322,7 +307,7 @@ def euclid_lemma_survey(monoid: Monoid, bound: int, *,
     p divides are its multiples, so every irreducible is skipped and no
     gcd runs either.
     """
-    table = DivisibilityTable(monoid, bound, ceiling=ceiling)
+    table = DivisibilityTable(monoid, bound)
     return _euclid_lemma_flag(table)
 
 
@@ -369,26 +354,23 @@ def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
             for k in ks[bisect_left(ks, j):]:
                 product = mul_parts(a, parts[coprime[k]])
                 if divide_parts(product, p) is not None:
-                    return PropertyFlag.from_ids(table, EuclidLemmaWitness, [
+                    return PropertyFlag(table, EuclidLemmaWitness, [
                         (pi, ai, coprime[k], Element(monoid, product))])
-    return PropertyFlag.from_ids(table, EuclidLemmaWitness, [])
+    return PropertyFlag(table, EuclidLemmaWitness, [])
 
 
 def _gcd_existence_flag(table: DivisibilityTable) -> PropertyFlag:
     """Algebraic gcds for every pair of elements in the table."""
-    return PropertyFlag.from_ids(table, GcdAbsenceWitness, [
-        (ai, bi, maximal) for (ai, bi, _), maximal
-        in zip(table.pairs_without_gcd, table.maximal_common_divisors)])
+    return PropertyFlag(table, GcdAbsenceWitness, table.pairs_without_gcd)
 
 
 def _unique_factorization_flag(table: DivisibilityTable) -> PropertyFlag:
-    return PropertyFlag.from_ids(table, FactorizationWitness, [
+    return PropertyFlag(table, FactorizationWitness, [
         (xi, fs) for xi, fs in enumerate(table.factorization_ids)
         if len(fs) > 1])
 
 
-def three_property_survey(monoid: Monoid, bound: int, *,
-                          ceiling: int | None = None) -> SurveyReport:
+def three_property_survey(monoid: Monoid, bound: int) -> SurveyReport:
     """Survey the three classically equivalent divisibility properties.
 
     Flags: transitivity of Pythagorean proportionality, existence of
@@ -399,7 +381,7 @@ def three_property_survey(monoid: Monoid, bound: int, *,
     """
     from .proportion import _transitivity_flag  # deferred: proportion imports us
 
-    table = DivisibilityTable(monoid, bound, ceiling=ceiling)
+    table = DivisibilityTable(monoid, bound)
     report = SurveyReport(monoid=monoid, bound=bound)
     report.flags["pythagorean_transitive"] = _transitivity_flag(table)
     report.flags["algebraic_gcds_exist"] = _gcd_existence_flag(table)

@@ -29,8 +29,7 @@ from .errors import (
     MonoidMismatchError,
 )
 
-#: Default cap on candidates a single enumeration may inspect.  Override
-#: per call via the ``ceiling`` keyword accepted by enumerating operations.
+#: Cap on the candidates a single enumeration or divisor scan may inspect.
 DEFAULT_ENUMERATION_CEILING = 1_000_000
 
 #: Entries kept by the divisor cache.  A divisor set is reused mostly
@@ -491,18 +490,10 @@ def try_divide(b: Element, a: Element) -> Element | None:
     return None if parts is None else Element(b.monoid, parts)
 
 
-def _resolve_ceiling(ceiling: int | None) -> int:
-    if ceiling is None:
-        return DEFAULT_ENUMERATION_CEILING
-    c = _require_int(ceiling, "ceiling")
-    if c < 1:
-        raise InvalidInputError(f"ceiling must be positive, got {c}")
-    return c
-
-
-def _check_ceiling(monoid: Monoid, bound: tuple[int, ...], ceiling: int) -> None:
-    """Raise BoundExceededError when more than ``ceiling`` candidates have
-    norm at most the bound."""
+def _check_ceiling(monoid: Monoid, bound: tuple[int, ...]) -> None:
+    """Raise BoundExceededError when more than DEFAULT_ENUMERATION_CEILING
+    candidates have norm at most the bound."""
+    ceiling = DEFAULT_ENUMERATION_CEILING
     count = monoid._count_up_to(bound, ceiling)
     if count > ceiling:
         raise BoundExceededError(
@@ -511,28 +502,27 @@ def _check_ceiling(monoid: Monoid, bound: tuple[int, ...], ceiling: int) -> None
             candidates=count, ceiling=ceiling)
 
 
-def enumerate_up_to(monoid: Monoid, bound: int | Element, *,
-                    ceiling: int | None = None) -> list[Element]:
+def enumerate_up_to(monoid: Monoid, bound: int | Element) -> list[Element]:
     """All elements of norm at most ``bound``, in nondecreasing norm order.
 
     ``bound`` is an integer or an element of the monoid.  Raises
-    BoundExceededError when more than ``ceiling`` candidates would be
-    inspected (default DEFAULT_ENUMERATION_CEILING); never returns a
-    silently truncated list.
+    BoundExceededError when more than DEFAULT_ENUMERATION_CEILING
+    candidates would be inspected; never returns a silently truncated
+    list.
     """
     bound_parts = monoid._bound_parts(bound)
     if monoid._norm_cmp_parts(bound_parts, monoid._identity_parts()) < 0:
         raise InvalidInputError("bound must be at least the identity norm")
-    _check_ceiling(monoid, bound_parts, _resolve_ceiling(ceiling))
+    _check_ceiling(monoid, bound_parts)
     parts = list(monoid._iter_parts_up_to(bound_parts))
     parts.sort(key=cmp_to_key(monoid._norm_cmp_parts))
     return [Element(monoid, p) for p in parts]
 
 
 @lru_cache(maxsize=DIVISORS_CACHE_SIZE)
-def _divisors_cached(x: Element, ceiling: int) -> tuple[Element, ...]:
+def _divisors_cached(x: Element) -> tuple[Element, ...]:
     monoid = x.monoid
-    _check_ceiling(monoid, x.parts, ceiling)
+    _check_ceiling(monoid, x.parts)
     norm = monoid._norm_parts(x.parts)
     found = []
     for u in monoid._iter_root_parts(x.parts):
@@ -547,8 +537,7 @@ def _divisors_cached(x: Element, ceiling: int) -> tuple[Element, ...]:
     return tuple(Element(monoid, p) for p in found)
 
 
-def divisors(x: Element, *, nontrivial: bool = False,
-             ceiling: int | None = None) -> list[Element]:
+def divisors(x: Element, *, nontrivial: bool = False) -> list[Element]:
     """Every divisor of x within the monoid, in nondecreasing norm order.
 
     The identity always divides and is included; pass ``nontrivial=True``
@@ -560,19 +549,18 @@ def divisors(x: Element, *, nontrivial: bool = False,
     enumeration up to x would, so the inputs that raise
     BoundExceededError do not depend on how the divisors are found.
     """
-    found = _divisors_cached(x, _resolve_ceiling(ceiling))
+    found = _divisors_cached(x)
     if nontrivial:
         return [u for u in found if not u.is_identity()]
     return list(found)
 
 
-def common_divisors(a: Element, b: Element, *,
-                    ceiling: int | None = None) -> list[Element]:
+def common_divisors(a: Element, b: Element) -> list[Element]:
     """Divisors shared by a and b, in nondecreasing norm order."""
     if a.monoid != b.monoid:
         raise MonoidMismatchError("common divisors need a single monoid")
     monoid = a.monoid
-    return [u for u in divisors(a, ceiling=ceiling)
+    return [u for u in divisors(a)
             if monoid._try_divide_parts(b.parts, u.parts) is not None]
 
 
@@ -612,11 +600,10 @@ class DivisibilityTable:
     they agree.
     """
 
-    def __init__(self, monoid: Monoid, bound: int | Element, *,
-                 ceiling: int | None = None):
+    def __init__(self, monoid: Monoid, bound: int | Element):
         self.monoid = monoid
         self.bound = bound
-        self.elements = enumerate_up_to(monoid, bound, ceiling=ceiling)
+        self.elements = enumerate_up_to(monoid, bound)
         self.index = {e.parts: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
         parts = [e.parts for e in self.elements]
@@ -669,8 +656,11 @@ class DivisibilityTable:
 
     @cached_property
     def pairs_without_gcd(self) -> list[tuple[int, int, list[int]]]:
-        """``(ai, bi, common)`` for the index pairs ``ai <= bi`` with no
-        algebraic gcd, in ``(ai, bi)`` order, ``common`` sorted.
+        """``(ai, bi, maximal)`` for the index pairs ``ai <= bi`` with no
+        algebraic gcd, in ``(ai, bi)`` order, ``maximal`` the pair's
+        maximal common divisor ids, increasing.  Every common divisor
+        divides a maximal one, so the maximal ones are all a flag needs:
+        the common divisors are the union of their divisor sets.
 
         A pair whose members each have one factorization has a gcd.  If
         a = d*e, a factorization of d joined to one of e factors a, so
@@ -707,6 +697,7 @@ class DivisibilityTable:
         if not any(several):
             return []
         div_ids, irreducibles = self.divisor_ids, self.irreducible_divisors
+        divisors_of = div_ids.__getitem__
         by_pair: dict[tuple[int, int], list[int]] = {}
         several_by_pair: dict[tuple[int, int], list[int]] = {}
         for xi, irr in enumerate(irreducibles):
@@ -725,16 +716,9 @@ class DivisibilityTable:
             for bi in sorted(seen):
                 common = div_a & div_ids[bi]
                 if len(div_ids[max(common)]) != len(common):
-                    out.append((ai, bi, sorted(common)))
+                    out.append((ai, bi, _maximal_common_divisors(
+                        sorted(common), divisors_of)))
         return out
-
-    @cached_property
-    def maximal_common_divisors(self) -> list[list[int]]:
-        """The maximal common divisor ids of each pair of
-        ``pairs_without_gcd``, in the same order."""
-        divisors_of = self.divisor_ids.__getitem__
-        return [_maximal_common_divisors(common, divisors_of)
-                for _, _, common in self.pairs_without_gcd]
 
     @cached_property
     def payloads(self) -> list[int | list[int]]:

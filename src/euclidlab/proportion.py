@@ -98,8 +98,8 @@ def fraction_equal(quad: ProportionQuad) -> bool:
 
 
 def pythagorean(quad: ProportionQuad,
-                mode: CanonicalPartsMode = CanonicalPartsMode.ANY_WITNESS,
-                *, ceiling: int | None = None) -> Optional[ProportionWitness]:
+                mode: CanonicalPartsMode = CanonicalPartsMode.ANY_WITNESS
+                ) -> Optional[ProportionWitness]:
     """Exhaustive witness search for a:b = c:d.
 
     Common divisors x of (a, b) are tried in nondecreasing norm order;
@@ -113,14 +113,14 @@ def pythagorean(quad: ProportionQuad,
     """
     a, b, c, d = quad.elements
     if mode is CanonicalPartsMode.CANONICAL_ONLY:
-        g1 = algebraic_gcd(a, b, ceiling=ceiling).gcd
-        g2 = algebraic_gcd(c, d, ceiling=ceiling).gcd
+        g1 = algebraic_gcd(a, b).gcd
+        g2 = algebraic_gcd(c, d).gcd
         if g1 is None or g2 is None:
             return None
         candidates = [g1]
     else:
         g2 = None
-        candidates = common_divisors(a, b, ceiling=ceiling)
+        candidates = common_divisors(a, b)
     for x in candidates:
         m = try_divide(a, x)
         n = try_divide(b, x)
@@ -148,8 +148,7 @@ class AlternandoReport:
     conclusion_witness: Optional[ProportionWitness]
 
 
-def alternando_check(quad: ProportionQuad, *,
-                     ceiling: int | None = None) -> AlternandoReport:
+def alternando_check(quad: ProportionQuad) -> AlternandoReport:
     """Check a:b = c:d implies a:c = b:d.
 
     When the premise holds with witness (x, y, m, n), exchanging the
@@ -157,9 +156,9 @@ def alternando_check(quad: ProportionQuad, *,
     rearranged quad; that fast path is cross-checked against the full
     search, which must agree.
     """
-    premise_w = pythagorean(quad, ceiling=ceiling)
+    premise_w = pythagorean(quad)
     rearranged = ProportionQuad(quad.a, quad.c, quad.b, quad.d)
-    searched = pythagorean(rearranged, ceiling=ceiling)
+    searched = pythagorean(rearranged)
     conclusion_w = searched
     if premise_w is not None:
         swapped = ProportionWitness(x=premise_w.m, y=premise_w.n,
@@ -223,8 +222,8 @@ class Vii6Report:
 
 
 def vii6_check(quad: ProportionQuad,
-               mode: CanonicalPartsMode = CanonicalPartsMode.ANY_WITNESS,
-               *, ceiling: int | None = None) -> Vii6Report:
+               mode: CanonicalPartsMode = CanonicalPartsMode.ANY_WITNESS
+               ) -> Vii6Report:
     """Check a:b = c:d implies a:b = (a+c):(b+d).
 
     A premise witness (x, y, m, n) extends directly: multiplication
@@ -236,8 +235,8 @@ def vii6_check(quad: ProportionQuad,
     """
     a, b, c, d = quad.elements
     extended = ProportionQuad(a, b, add_elements(a, c), add_elements(b, d))
-    premise_w = pythagorean(quad, mode, ceiling=ceiling)
-    searched = pythagorean(extended, mode, ceiling=ceiling)
+    premise_w = pythagorean(quad, mode)
+    searched = pythagorean(extended, mode)
     conclusion_w = searched
     if premise_w is not None:
         direct = ProportionWitness(x=premise_w.x,
@@ -246,7 +245,7 @@ def vii6_check(quad: ProportionQuad,
         if not direct.verifies(extended) or searched is None:
             raise RuntimeError("direct sum witness disagrees with full search")
         if mode is CanonicalPartsMode.CANONICAL_ONLY:
-            g = algebraic_gcd(extended.c, extended.d, ceiling=ceiling).gcd
+            g = algebraic_gcd(extended.c, extended.d).gcd
             if direct.y != g:
                 raise RuntimeError(
                     "extended part is not the algebraic gcd of the sums")
@@ -271,10 +270,9 @@ class Vii19Report:
     witness: Optional[ProportionWitness]
 
 
-def vii19_check(quad: ProportionQuad, *,
-                ceiling: int | None = None) -> Vii19Report:
+def vii19_check(quad: ProportionQuad) -> Vii19Report:
     """Record whether a:b = c:d and ad = bc agree on this quad."""
-    witness = pythagorean(quad, ceiling=ceiling)
+    witness = pythagorean(quad)
     pyth = witness is not None
     frac = fraction_equal(quad)
     return Vii19Report(quad=quad, pyth=pyth, frac=frac,
@@ -354,8 +352,7 @@ class RepairReport:
     j: Optional[Element] = None
 
 
-def repair_check(quad: ProportionQuad, *,
-                 ceiling: int | None = None) -> RepairReport:
+def repair_check(quad: ProportionQuad) -> RepairReport:
     """Rebuild a proportion witness on canonical parts.
 
     With g1 the algebraic gcd of (a, b) and g2 that of (c, d), the
@@ -364,14 +361,14 @@ def repair_check(quad: ProportionQuad, *,
     cofactors i = g1/x and j = g2/y of any witness coincide.
     """
     a, b, c, d = quad.elements
-    witness = pythagorean(quad, ceiling=ceiling)
+    witness = pythagorean(quad)
     if witness is None:
         return RepairReport(quad=quad, status="premise_failed", holds=None)
-    g1 = algebraic_gcd(a, b, ceiling=ceiling).gcd
+    g1 = algebraic_gcd(a, b).gcd
     if g1 is None:
         return RepairReport(quad=quad, status="inapplicable", holds=None,
                             offending_pair=(a, b), witness=witness)
-    g2 = algebraic_gcd(c, d, ceiling=ceiling).gcd
+    g2 = algebraic_gcd(c, d).gcd
     if g2 is None:
         return RepairReport(quad=quad, status="inapplicable", holds=None,
                             offending_pair=(c, d), witness=witness)
@@ -403,16 +400,13 @@ class TransitivityWitness:
     middle: tuple[Element, Element]
     right: tuple[Element, Element]
 
-    def verifies(self, *, ceiling: int | None = None) -> bool:
+    def verifies(self) -> bool:
         la, lb = self.left
         ma, mb = self.middle
         ra, rb = self.right
-        return (pythagorean(ProportionQuad(la, lb, ma, mb),
-                            ceiling=ceiling) is not None
-                and pythagorean(ProportionQuad(ma, mb, ra, rb),
-                                ceiling=ceiling) is not None
-                and pythagorean(ProportionQuad(la, lb, ra, rb),
-                                ceiling=ceiling) is None)
+        return (pythagorean(ProportionQuad(la, lb, ma, mb)) is not None
+                and pythagorean(ProportionQuad(ma, mb, ra, rb)) is not None
+                and pythagorean(ProportionQuad(la, lb, ra, rb)) is None)
 
     @staticmethod
     def arguments(ids, at):
@@ -429,8 +423,7 @@ class TransitivityWitness:
             (*self.left, *self.middle, *self.right), Element.to_payload))
 
 
-def transitivity_survey(monoid: Monoid, bound: int, *,
-                        ceiling: int | None = None) -> SurveyReport:
+def transitivity_survey(monoid: Monoid, bound: int) -> SurveyReport:
     """Hunt for failures of transitivity of proportionality.
 
     Chains a:b = c:d = e:f with a:b != e:f are reported in a reduced
@@ -456,7 +449,7 @@ def transitivity_survey(monoid: Monoid, bound: int, *,
     above x2, over the table's maximal lists; a comparable x1 | x2
     never conflicts.
     """
-    table = DivisibilityTable(monoid, bound, ceiling=ceiling)
+    table = DivisibilityTable(monoid, bound)
     report = SurveyReport(monoid=monoid, bound=bound)
     report.flags["pythagorean_transitive"] = _transitivity_flag(table)
     return report
@@ -466,16 +459,18 @@ def _transitivity_flag(table: DivisibilityTable) -> PropertyFlag:
     """Transitivity over the table; see transitivity_survey."""
     div_ids, quotient = table.divisor_ids, table.quotient
     ids = []
-    for (ci, di, common), maximal in zip(table.pairs_without_gcd,
-                                         table.maximal_common_divisors):
-        # Bit k of above[x] is set when x divides maximal[k].
-        above = dict.fromkeys(common, 0)
+    for ci, di, maximal in table.pairs_without_gcd:
+        # Bit k of above[x] is set when x divides maximal[k].  Every
+        # common divisor divides a maximal one, so the keys are exactly
+        # the common divisors, walked in id order.
+        above: dict[int, int] = {}
         for k, m in enumerate(maximal):
             for x in div_ids[m]:
-                above[x] |= 1 << k
-        rows = [(above[x], quotient[(ci, x)], quotient[(di, x)]) for x in common]
+                above[x] = above.get(x, 0) | 1 << k
+        rows = [(above[x], quotient[(ci, x)], quotient[(di, x)])
+                for x in sorted(above)]
         for (above1, c1, d1), (above2, c2, d2) in combinations(rows, 2):
             if not above1 & above2:  # c/x1 != c/x2, as x1 != x2
                 ids.append((c1, d1, ci, di, c2, d2) if c1 < c2
                            else (c2, d2, ci, di, c1, d1))
-    return PropertyFlag.from_ids(table, TransitivityWitness, ids)
+    return PropertyFlag(table, TransitivityWitness, ids)

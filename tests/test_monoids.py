@@ -1,11 +1,13 @@
 """Monoid arithmetic, membership, enumeration and divisor sets."""
 
+import inspect
 from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import euclidlab
 import oracles
 from euclidlab import (
     BoundExceededError,
@@ -249,15 +251,45 @@ def test_enumeration_ceiling_raises():
         enumerate_up_to(NAT, 99_999_999)
     assert err.value.candidates == 99_999_999
     assert err.value.ceiling == 1_000_000
-    with pytest.raises(BoundExceededError):
-        enumerate_up_to(NAT, 100, ceiling=50)
-    # a raised ceiling makes the same call legal
-    assert len(enumerate_up_to(NAT, 100, ceiling=100)) == 100
+    assert len(enumerate_up_to(NAT, 100)) == 100
+
+
+def no_scan(self, parts):
+    raise AssertionError("scanned past the ceiling")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_up_to(NAT, 1_000_001),
+    lambda: divisors(NAT.element(1_000_001)),
+], ids=["enumerate_up_to", "divisors"])
+def test_one_past_the_ceiling_raises_before_any_scan(monkeypatch, call):
+    monkeypatch.setattr(type(NAT), "_iter_parts_up_to", no_scan)
+    monkeypatch.setattr(type(NAT), "_iter_root_parts", no_scan)
+    with pytest.raises(BoundExceededError) as err:
+        call()
+    assert (err.value.candidates, err.value.ceiling) == (1_000_001, 1_000_000)
 
 
 def test_ceiling_guards_divisor_scans():
-    with pytest.raises(BoundExceededError):
-        divisors(NAT.element(30), ceiling=10)
+    # The ceiling is one constant, and a norm at the ceiling is legal.
+    assert monoids.DEFAULT_ENUMERATION_CEILING == 1_000_000
+    assert len(divisors(NAT.element(1_000_000))) == 49  # 2**6 * 5**6
+
+
+def test_no_public_callable_takes_a_ceiling():
+    # The ceiling is one constant.  Only an error carries it, as a field.
+    found = []
+    for name in euclidlab.__all__:
+        obj = getattr(euclidlab, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        named = [(name, obj)]
+        if isinstance(obj, type):
+            named += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                      if not attr.startswith("_") or attr == "__init__"]
+        found += [label for label, fn in named
+                  if callable(fn) and "ceiling" in inspect.signature(fn).parameters]
+    assert found == []
 
 
 # -- divisor sets ----------------------------------------------------------------
