@@ -16,7 +16,6 @@ squaring, never by floating point.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, lru_cache, total_ordering
 from itertools import combinations
@@ -411,25 +410,22 @@ class Quadratic(Monoid):
         a, b = p
         return abs(a * a - self.radicand * b * b)
 
-    def _b_max(self, bound: tuple[int, ...]) -> int:
-        # Largest b with b*sqrt(r) <= A + B*sqrt(r).
+    def _rows(self, bound: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+        # (b, a_max) for each row b holding some a >= 0 with
+        # a + b*sqrt(r) <= A + B*sqrt(r), a_max the largest such a.  The
+        # last row is the largest b with b*sqrt(r) <= A + B*sqrt(r).
         a_cap, b_cap = bound
-        return b_cap + isqrt(a_cap * a_cap // self.radicand)
-
-    def _a_max(self, bound: tuple[int, ...], b: int) -> int:
-        # Largest a >= 0 with a + b*sqrt(r) <= A + B*sqrt(r), or -1.
-        a_cap, b_cap = bound
-        k = b_cap - b
-        if k >= 0:
-            return a_cap + isqrt(self.radicand * k * k)
-        return a_cap - _ceil_sqrt(self.radicand * k * k)
+        r = self.radicand
+        for b in range(b_cap + isqrt(a_cap * a_cap // r) + 1):
+            k = b_cap - b
+            a_max = (a_cap + isqrt(r * k * k) if k >= 0
+                     else a_cap - _ceil_sqrt(r * k * k))
+            if a_max >= 0:
+                yield b, a_max
 
     def _count_up_to(self, bound, ceiling):
         total = 0
-        for b in range(self._b_max(bound) + 1):
-            a_max = self._a_max(bound, b)
-            if a_max < 0:
-                continue
+        for _, a_max in self._rows(bound):
             total += a_max + 1
             if total > ceiling + 1:
                 # Enough to know the ceiling is blown; stop counting.
@@ -437,8 +433,7 @@ class Quadratic(Monoid):
         return total - 1  # drop (0, 0)
 
     def _iter_parts_up_to(self, bound):
-        for b in range(self._b_max(bound) + 1):
-            a_max = self._a_max(bound, b)
+        for b, a_max in self._rows(bound):
             for a in range(a_max + 1):
                 if a or b:
                     yield (a, b)
@@ -679,12 +674,14 @@ class DivisibilityTable:
         nontrivial common divisor has p as its only irreducible factor,
         so it is a power of p; the common divisors form a chain, and its
         top is a gcd.  With no shared irreducible the identity is the
-        gcd.  So the scan indexes the elements by each pair {p, q} of
-        their distinct irreducible divisors, once over all elements and
-        once over those with several factorizations.  Each a walks the
-        lists of a's own pairs from a onwards, visiting each b once: the
-        first index when a factors in several ways, the second when a
-        factors uniquely.
+        gcd.  So the scan indexes the elements with several
+        factorizations by each pair {p, q} of their distinct irreducible
+        divisors, and each a walks the lists of its own pairs.  A
+        uniquely factoring a keeps every b it finds; an a with several
+        factorizations keeps only b > a, its pairs with smaller such
+        elements being kept when those were walked.  So each pair is
+        found once, and one sort puts the result in ``(ai, bi)`` order;
+        no two entries share ``(ai, bi)``, so it never compares lists.
 
         The gcd test is decided from counts.  Let g be the common divisor
         of largest norm, the largest id in both divisor sets (ids are in
@@ -699,25 +696,24 @@ class DivisibilityTable:
         div_ids, irreducibles = self.divisor_ids, self.irreducible_divisors
         divisors_of = div_ids.__getitem__
         by_pair: dict[tuple[int, int], list[int]] = {}
-        several_by_pair: dict[tuple[int, int], list[int]] = {}
         for xi, irr in enumerate(irreducibles):
-            for key in combinations(irr, 2):
-                by_pair.setdefault(key, []).append(xi)
-                if several[xi]:
-                    several_by_pair.setdefault(key, []).append(xi)
+            if several[xi]:
+                for key in combinations(irr, 2):
+                    by_pair.setdefault(key, []).append(xi)
         out = []
         for ai, irr in enumerate(irreducibles):
-            index = by_pair if several[ai] else several_by_pair
             seen: set[int] = set()
             for key in combinations(irr, 2):
-                xs = index.get(key, ())
-                seen.update(xs[bisect_left(xs, ai):])
+                seen.update(by_pair.get(key, ()))
             div_a = div_ids[ai]
-            for bi in sorted(seen):
+            for bi in seen:
+                if several[ai] and bi <= ai:
+                    continue
                 common = div_a & div_ids[bi]
                 if len(div_ids[max(common)]) != len(common):
-                    out.append((ai, bi, _maximal_common_divisors(
-                        sorted(common), divisors_of)))
+                    maximal = _maximal_common_divisors(sorted(common), divisors_of)
+                    out.append((min(ai, bi), max(ai, bi), maximal))
+        out.sort()
         return out
 
     @cached_property

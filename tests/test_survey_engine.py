@@ -63,7 +63,8 @@ SPACES = [(NAT, 60), (C12, 100), (C13, 250), (C14, 200), (Q2, 20), (Q5, 30)]
     "monoid,bound",
     SPACES + [(Q3, 24), (Q7, 30), (C46, 300), (NAT, 200)])
 def test_common_divisor_pairs_match_double_loop(monoid, bound):
-    # The irreducible-pair walk and its bitmask test against every pair and
+    # The one-index walk, over the elements with several factorizations
+    # keyed by irreducible pairs, and its count test against every pair and
     # its full common-divisor set: a gcd is the largest common divisor, if
     # that one is a multiple of all the others.  Each pair keeps the
     # members of `common` that divide no other member.
