@@ -13,14 +13,20 @@ computation succeeded or the property holds, 1 the property was
 refuted (the report carries witnesses), 2 usage or input error, 3
 ceiling exceeded (enumeration, radicand test, trace length or INT length).
 Nothing is written to stderr on exit 0 or 1.
+
+One command table, ``_COMMANDS``, declares every subcommand.  An argv
+is parsed in one pass over it; argparse is imported and built from the
+same table only for help, usage errors and the spellings only argparse
+accepts (abbreviations, ``--opt=value``, ``--``, dash-led values).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import euclid
 from .errors import (
@@ -56,90 +62,100 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems instead of exiting."""
+class _Command(NamedTuple):
+    """One subcommand as both parsing routes read it."""
 
-    def error(self, message):
-        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+    handler: Callable
+    help: str
+    positionals: tuple[str, ...]
+    #: required, mutually exclusive mode flags: option -> help
+    modes: dict[str, str] = {}
+    #: whether the command requires ``--bound INT``
+    bound: bool = False
+
+
+#: The switches every command takes besides ``--monoid SPEC``: option -> help.
+_SWITCHES = {"--json": "emit a JSON report envelope",
+             "--nontrivial-divisors": "omit the identity from divisor listings"}
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would build for ``argv``, in one pass over
+    the command table, or None when ``argv`` needs argparse: help,
+    abbreviations, ``--opt=value``, ``--``, a value or positional that
+    starts with a dash, and every usage error."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    ns = {"command": argv[0], "monoid": "nat"}
+    ns.update((_dest(option), False) for option in (*_SWITCHES, *command.modes))
+    mode = None
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token in _SWITCHES:
+            ns[_dest(token)] = True
+        elif token in command.modes and mode is None:
+            mode = token
+            ns[_dest(token)] = True
+        elif token == "--monoid" or (token == "--bound" and command.bound):
+            value = next(tokens, "-")  # a missing value is argparse's error
+            if value.startswith("-"):
+                return None
+            if token == "--bound":
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            ns[_dest(token)] = value
+        else:
+            return None
+    if (len(positionals) != len(command.positionals)
+            or (command.modes and mode is None)
+            or (command.bound and "bound" not in ns)):
+        return None
+    ns.update(zip(command.positionals, positionals))
+    return SimpleNamespace(**ns)
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of the process: ``parse_args`` leaves it unchanged,
-    and usage and help text are formatted only when they are asked for."""
-    common = _Parser(add_help=False)
-    common.add_argument("--monoid", default="nat", metavar="SPEC",
-                        help="monoid spec text (default: nat)")
-    common.add_argument("--json", action="store_true",
-                        help="emit a JSON report envelope")
-    common.add_argument("--nontrivial-divisors", action="store_true",
-                        help="omit the identity from divisor listings")
+def _build_parser():
+    """The argparse parser, built from the command table on first use.
+    ``parse_args`` leaves it unchanged, and usage and help text are
+    formatted only when they are asked for."""
+    import argparse
 
-    parser = _Parser(prog="euclidlab",
-                     description="divisibility and proportion, computed exactly")
+    class Parser(argparse.ArgumentParser):
+        """argparse that reports usage problems instead of exiting."""
+
+        def error(self, message):
+            raise _UsageError(
+                f"{self.format_usage()}{self.prog}: error: {message}")
+
+    parser = Parser(prog="euclidlab",
+                    description="divisibility and proportion, computed exactly")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("gcd", parents=[common],
-                       help="greatest common divisor with Bezout certificate")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("bezout", parents=[common],
-                       help="coefficients s, t with s*a + t*b = gcd(a, b)")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("trace", parents=[common],
-                       help="subtractive gcd loop trace with invariant check")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("divisors", parents=[common], help="divisor set")
-    p.add_argument("element")
-
-    p = sub.add_parser("factor", parents=[common],
-                       help="all factorizations into irreducibles")
-    p.add_argument("element")
-
-    p = sub.add_parser("irreducible", parents=[common],
-                       help="test for irreducibility")
-    p.add_argument("element")
-
-    p = sub.add_parser("proportion", parents=[common],
-                       help="proportionality checks on a quad a b c d")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--pythagorean", action="store_true",
-                      help="witness search for a:b = c:d")
-    mode.add_argument("--fraction", action="store_true",
-                      help="test a*d = b*c")
-    mode.add_argument("--vii19", action="store_true",
-                      help="compare the two notions on this quad")
-    mode.add_argument("--alternando", action="store_true",
-                      help="a:b = c:d implies a:c = b:d")
-    mode.add_argument("--repair", action="store_true",
-                      help="rebuild the witness on canonical parts")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.add_argument("d")
-
-    p = sub.add_parser("least-pair", parents=[common],
-                       help="least pair in the same ratio (naturals)")
-    p.add_argument("c")
-    p.add_argument("d")
-
-    p = sub.add_parser("survey", parents=[common],
-                       help="bounded counterexample hunts")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--transitivity", action="store_true",
-                       help="transitivity of proportionality")
-    which.add_argument("--euclid-lemma", action="store_true",
-                       help="p | ab implies p | a or p | b")
-    which.add_argument("--three-properties", action="store_true",
-                       help="transitivity, gcd existence, unique factorization")
-    p.add_argument("--bound", type=int, required=True,
-                   help="norm bound for the element space")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--monoid", default="nat", metavar="SPEC",
+                       help="monoid spec text (default: nat)")
+        for option, text in _SWITCHES.items():
+            p.add_argument(option, action="store_true", help=text)
+        if command.modes:
+            group = p.add_mutually_exclusive_group(required=True)
+            for option, text in command.modes.items():
+                group.add_argument(option, action="store_true", help=text)
+        for positional in command.positionals:
+            p.add_argument(positional)
+        if command.bound:
+            p.add_argument("--bound", type=int, required=True,
+                           help="norm bound for the element space")
     return parser
 
 
@@ -155,7 +171,7 @@ def _positive_int(monoid: Monoid, literal: str) -> int:
 
 def _witness_with_quad(witness: ProportionWitness, quad: ProportionQuad) -> dict:
     payload = witness.to_payload()
-    payload["quad"] = [e.to_payload() for e in quad.elements]
+    payload["quad"] = _quad_payload(quad)
     return payload
 
 
@@ -359,31 +375,55 @@ def _cmd_survey(ns, monoid):
     return 0 if all_hold else 1, payload, witnesses, lines
 
 
-_HANDLERS = {
-    "gcd": _cmd_gcd,
-    "bezout": _cmd_bezout,
-    "trace": _cmd_trace,
-    "divisors": _cmd_divisors,
-    "factor": _cmd_factor,
-    "irreducible": _cmd_irreducible,
-    "proportion": _cmd_proportion,
-    "least-pair": _cmd_least_pair,
-    "survey": _cmd_survey,
+_COMMANDS = {
+    "gcd": _Command(_cmd_gcd, "greatest common divisor with Bezout certificate",
+                    ("a", "b")),
+    "bezout": _Command(_cmd_bezout,
+                       "coefficients s, t with s*a + t*b = gcd(a, b)",
+                       ("a", "b")),
+    "trace": _Command(_cmd_trace,
+                      "subtractive gcd loop trace with invariant check",
+                      ("a", "b")),
+    "divisors": _Command(_cmd_divisors, "divisor set", ("element",)),
+    "factor": _Command(_cmd_factor, "all factorizations into irreducibles",
+                       ("element",)),
+    "irreducible": _Command(_cmd_irreducible, "test for irreducibility",
+                            ("element",)),
+    "proportion": _Command(
+        _cmd_proportion, "proportionality checks on a quad a b c d",
+        ("a", "b", "c", "d"),
+        modes={"--pythagorean": "witness search for a:b = c:d",
+               "--fraction": "test a*d = b*c",
+               "--vii19": "compare the two notions on this quad",
+               "--alternando": "a:b = c:d implies a:c = b:d",
+               "--repair": "rebuild the witness on canonical parts"}),
+    "least-pair": _Command(_cmd_least_pair,
+                           "least pair in the same ratio (naturals)",
+                           ("c", "d")),
+    "survey": _Command(
+        _cmd_survey, "bounded counterexample hunts", (),
+        modes={"--transitivity": "transitivity of proportionality",
+               "--euclid-lemma": "p | ab implies p | a or p | b",
+               "--three-properties":
+                   "transitivity, gcd existence, unique factorization"},
+        bound=True),
 }
 
 
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Run one invocation; return (exit status, rendered report)."""
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        return 2, str(exc)
-    except SystemExit as exc:  # --help prints and exits on its own
-        return int(exc.code or 0), ""
+    ns = _parse_table(argv)
+    if ns is None:
+        try:
+            ns = _build_parser().parse_args(argv)
+        except _UsageError as exc:
+            return 2, str(exc)
+        except SystemExit as exc:  # --help prints and exits on its own
+            return int(exc.code or 0), ""
     try:
         monoid = parse_monoid_spec(ns.monoid)
-        code, payload, witnesses, lines = _HANDLERS[ns.command](ns, monoid)
+        code, payload, witnesses, lines = _COMMANDS[ns.command].handler(
+            ns, monoid)
     except BoundExceededError as exc:
         return 3, f"euclidlab: bound exceeded: {exc}"
     except MonoidSpecSyntaxError as exc:

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import run_euclidlab
-from euclidlab.cli import run_command
+from euclidlab.cli import _build_parser, _parse_table, _UsageError, run_command
 from euclidlab.factorization import (
     EuclidLemmaWitness,
     FactorizationWitness,
@@ -318,6 +319,217 @@ def test_help_exits_zero():
     assert code == 0 and text == ""
 
 
+# Help and usage texts as argparse words them at 80 columns on Python 3.11.
+# Both are built from the command table, so these pin every help string,
+# metavar, option order and the mode groups.
+HELP_TEXTS = {
+    "--help": """\
+usage: euclidlab [-h] COMMAND ...
+
+divisibility and proportion, computed exactly
+
+positional arguments:
+  COMMAND
+    gcd        greatest common divisor with Bezout certificate
+    bezout     coefficients s, t with s*a + t*b = gcd(a, b)
+    trace      subtractive gcd loop trace with invariant check
+    divisors   divisor set
+    factor     all factorizations into irreducibles
+    irreducible
+               test for irreducibility
+    proportion
+               proportionality checks on a quad a b c d
+    least-pair
+               least pair in the same ratio (naturals)
+    survey     bounded counterexample hunts
+
+options:
+  -h, --help   show this help message and exit
+""",
+    "gcd --help": """\
+usage: euclidlab gcd [-h] [--monoid SPEC] [--json] [--nontrivial-divisors] a b
+
+positional arguments:
+  a
+  b
+
+options:
+  -h, --help            show this help message and exit
+  --monoid SPEC         monoid spec text (default: nat)
+  --json                emit a JSON report envelope
+  --nontrivial-divisors
+                        omit the identity from divisor listings
+""",
+    "bezout --help": """\
+usage: euclidlab bezout [-h] [--monoid SPEC] [--json] [--nontrivial-divisors]
+                        a b
+
+positional arguments:
+  a
+  b
+
+options:
+  -h, --help            show this help message and exit
+  --monoid SPEC         monoid spec text (default: nat)
+  --json                emit a JSON report envelope
+  --nontrivial-divisors
+                        omit the identity from divisor listings
+""",
+    "trace --help": """\
+usage: euclidlab trace [-h] [--monoid SPEC] [--json] [--nontrivial-divisors]
+                       a b
+
+positional arguments:
+  a
+  b
+
+options:
+  -h, --help            show this help message and exit
+  --monoid SPEC         monoid spec text (default: nat)
+  --json                emit a JSON report envelope
+  --nontrivial-divisors
+                        omit the identity from divisor listings
+""",
+    "divisors --help": """\
+usage: euclidlab divisors [-h] [--monoid SPEC] [--json]
+                          [--nontrivial-divisors]
+                          element
+
+positional arguments:
+  element
+
+options:
+  -h, --help            show this help message and exit
+  --monoid SPEC         monoid spec text (default: nat)
+  --json                emit a JSON report envelope
+  --nontrivial-divisors
+                        omit the identity from divisor listings
+""",
+    "factor --help": """\
+usage: euclidlab factor [-h] [--monoid SPEC] [--json] [--nontrivial-divisors]
+                        element
+
+positional arguments:
+  element
+
+options:
+  -h, --help            show this help message and exit
+  --monoid SPEC         monoid spec text (default: nat)
+  --json                emit a JSON report envelope
+  --nontrivial-divisors
+                        omit the identity from divisor listings
+""",
+    "irreducible --help": """\
+usage: euclidlab irreducible [-h] [--monoid SPEC] [--json]
+                             [--nontrivial-divisors]
+                             element
+
+positional arguments:
+  element
+
+options:
+  -h, --help            show this help message and exit
+  --monoid SPEC         monoid spec text (default: nat)
+  --json                emit a JSON report envelope
+  --nontrivial-divisors
+                        omit the identity from divisor listings
+""",
+    "proportion --help": """\
+usage: euclidlab proportion [-h] [--monoid SPEC] [--json]
+                            [--nontrivial-divisors]
+                            (--pythagorean | --fraction | --vii19 | --alternando | --repair)
+                            a b c d
+
+positional arguments:
+  a
+  b
+  c
+  d
+
+options:
+  -h, --help            show this help message and exit
+  --monoid SPEC         monoid spec text (default: nat)
+  --json                emit a JSON report envelope
+  --nontrivial-divisors
+                        omit the identity from divisor listings
+  --pythagorean         witness search for a:b = c:d
+  --fraction            test a*d = b*c
+  --vii19               compare the two notions on this quad
+  --alternando          a:b = c:d implies a:c = b:d
+  --repair              rebuild the witness on canonical parts
+""",
+    "least-pair --help": """\
+usage: euclidlab least-pair [-h] [--monoid SPEC] [--json]
+                            [--nontrivial-divisors]
+                            c d
+
+positional arguments:
+  c
+  d
+
+options:
+  -h, --help            show this help message and exit
+  --monoid SPEC         monoid spec text (default: nat)
+  --json                emit a JSON report envelope
+  --nontrivial-divisors
+                        omit the identity from divisor listings
+""",
+    "survey --help": """\
+usage: euclidlab survey [-h] [--monoid SPEC] [--json] [--nontrivial-divisors]
+                        (--transitivity | --euclid-lemma | --three-properties)
+                        --bound BOUND
+
+options:
+  -h, --help            show this help message and exit
+  --monoid SPEC         monoid spec text (default: nat)
+  --json                emit a JSON report envelope
+  --nontrivial-divisors
+                        omit the identity from divisor listings
+  --transitivity        transitivity of proportionality
+  --euclid-lemma        p | ab implies p | a or p | b
+  --three-properties    transitivity, gcd existence, unique factorization
+  --bound BOUND         norm bound for the element space
+""",
+}
+USAGE_ERRORS = {
+    "gcd 240": """\
+usage: euclidlab gcd [-h] [--monoid SPEC] [--json] [--nontrivial-divisors] a b
+euclidlab gcd: error: the following arguments are required: b""",
+    "proportion 1 2 3 4": """\
+usage: euclidlab proportion [-h] [--monoid SPEC] [--json]
+                            [--nontrivial-divisors]
+                            (--pythagorean | --fraction | --vii19 | --alternando | --repair)
+                            a b c d
+euclidlab proportion: error: one of the arguments --pythagorean --fraction --vii19 --alternando --repair is required""",
+    "survey --transitivity": """\
+usage: euclidlab survey [-h] [--monoid SPEC] [--json] [--nontrivial-divisors]
+                        (--transitivity | --euclid-lemma | --three-properties)
+                        --bound BOUND
+euclidlab survey: error: the following arguments are required: --bound""",
+    "survey --three-properties --bound x": """\
+usage: euclidlab survey [-h] [--monoid SPEC] [--json] [--nontrivial-divisors]
+                        (--transitivity | --euclid-lemma | --three-properties)
+                        --bound BOUND
+euclidlab survey: error: argument --bound: invalid int value: 'x'""",
+    "frobnicate": """\
+usage: euclidlab [-h] COMMAND ...
+euclidlab: error: argument COMMAND: invalid choice: 'frobnicate' (choose from 'gcd', 'bezout', 'trace', 'divisors', 'factor', 'irreducible', 'proportion', 'least-pair', 'survey')""",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words its help differently elsewhere")
+def test_help_and_usage_texts_stay_byte_identical(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for args, want in HELP_TEXTS.items():
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert run_command(args.split()) == (0, "")
+        assert printed.getvalue() == want, args
+    for args, want in USAGE_ERRORS.items():
+        assert run_command(args.split()) == (2, want), args
+
+
 def test_json_output_is_deterministic():
     argv = ["survey", "--three-properties", "--bound", "100", "--json"] + C13
     first = run_command(argv)
@@ -467,6 +679,53 @@ def test_one_parser_serves_repeated_mixed_sequences(monkeypatch):
     assert first[2][1].startswith("usage: euclidlab gcd")
 
 
+# The bench's correctness gate: the three documented contract invocations.
+CONTRACT = [
+    (["survey", "--three-properties", "--monoid", "congruence 1 mod 3",
+      "--bound", "250", "--json"], 1),
+    (["gcd", "240", "46", "--json"], 0),
+    (["proportion", "--vii19", "4", "10", "10", "25",
+      "--monoid", "congruence 1 mod 3", "--json"], 1),
+]
+
+
+def test_the_command_table_answers_every_well_formed_argv():
+    # Only help and usage errors may fall through to argparse; without
+    # this, the table path could stop answering and no output would change.
+    declined = []
+    for argv, _ in MIXED_SEQUENCE + CONTRACT:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                want = vars(_build_parser().parse_args(argv))
+        except (_UsageError, SystemExit):
+            declined.append(argv)
+            assert _parse_table(argv) is None
+            continue
+        ns = _parse_table(argv)
+        assert ns is not None, argv
+        assert vars(ns) == want
+    assert declined == [["gcd", "240"], ["--help"], ["gcd", "--help"]]
+
+
+def test_argparse_is_imported_only_for_help_and_usage_errors():
+    import euclidlab
+    code = """if True:
+        import contextlib, io, sys
+        from euclidlab.cli import run_command
+        assert run_command(["gcd", "240", "46", "--json"])[0] == 0
+        assert run_command(["survey", "--three-properties", "--bound", "30",
+                            "--monoid", "congruence 1 mod 3"])[0] == 1
+        print("argparse" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["gcd", "--help"]) == (0, "")
+        print("argparse" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(euclidlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert (proc.stdout.split(), proc.stderr) == (["False", "True"], "")
+
+
 def test_module_entry_point():
     import sys
     proc = subprocess.run([sys.executable, "-m", "euclidlab", "gcd", "6", "15"],
@@ -476,14 +735,20 @@ def test_module_entry_point():
 
 
 def test_schema_document_stays_in_sync():
-    from pathlib import Path
-    from euclidlab.cli import SCHEMA_VERSION, _HANDLERS
+    from euclidlab.cli import SCHEMA_VERSION, _COMMANDS
 
     path = Path(__file__).resolve().parent.parent / "docs" / (
         f"report-schema-{SCHEMA_VERSION}.json")
     schema = json.loads(path.read_text())
     assert schema["properties"]["schema_version"]["const"] == SCHEMA_VERSION
-    assert schema["properties"]["command"]["enum"] == list(_HANDLERS)
+    assert schema["properties"]["command"]["enum"] == list(_COMMANDS)
+    # argparse offers the same commands in the same order, and each row of
+    # the table runs its own handler
+    subcommands = next(action for action in _build_parser()._actions
+                       if action.dest == "command")
+    assert list(subcommands.choices) == list(_COMMANDS)
+    assert [command.handler.__name__ for command in _COMMANDS.values()] == [
+        "_cmd_" + name.replace("-", "_") for name in _COMMANDS]
     assert schema["required"] == [
         "schema_version", "monoid", "command", "payload", "witnesses"]
     kinds = {ref["$ref"].rsplit("/", 1)[-1]

@@ -5,7 +5,8 @@ The argv are drawn from the grammar plus junk: the nine commands and some
 non-commands, valid and invalid monoid specs, element literals in every
 form (malformed and overlong ones too), the flags, and survey bounds up
 to 40.  Each call must return an exit status in {0, 1, 2, 3} without
-raising, and ``main`` must write to stdout only on exit 0 or 1.
+raising, and ``main`` must write to stdout only on exit 0 or 1.  Wherever
+the command table answers an argv, argparse must build the same namespace.
 """
 
 import contextlib
@@ -14,12 +15,15 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euclidlab.cli import main, run_command
+from euclidlab.cli import _build_parser, _parse_table, main, run_command
 
 COMMANDS = ["gcd", "bezout", "trace", "divisors", "factor", "irreducible",
             "proportion", "least-pair", "survey"]
 ARITY = {"gcd": 2, "bezout": 2, "trace": 2, "divisors": 1, "factor": 1,
          "irreducible": 1, "proportion": 4, "least-pair": 2, "survey": 0}
+MODES = {"proportion": ["--pythagorean", "--fraction", "--vii19",
+                        "--alternando", "--repair"],
+         "survey": ["--transitivity", "--euclid-lemma", "--three-properties"]}
 
 SPECS = st.sampled_from([
     "nat", "congruence 1 mod 1", "congruence 1 mod 2", "congruence 1 mod 3",
@@ -89,3 +93,30 @@ def test_every_argv_ends_in_an_answer_a_refusal_or_a_budget_stop(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(argv) == code
     assert not out.getvalue() or code in (0, 1)
+
+
+@st.composite
+def table_shaped_argvs(draw):
+    """A command with its arity, its one mode flag and its bound, plus some
+    switches and a monoid, with each option kept next to its value (which
+    may itself be a flag)."""
+    command = draw(st.sampled_from(COMMANDS))
+    groups = [[draw(ELEMENTS)] for _ in range(ARITY[command])]
+    if command in MODES:
+        groups.append([draw(st.sampled_from(MODES[command]))])
+    groups += [[flag] for flag in draw(st.lists(st.sampled_from(
+        ["--json", "--nontrivial-divisors"]), max_size=2))]
+    if draw(st.booleans()):
+        groups.append(["--monoid", draw(SPECS | FLAGS)])
+    if command == "survey":
+        groups.append(["--bound", draw(BOUNDS | FLAGS)])
+    return [command] + [token for group in draw(st.permutations(groups))
+                        for token in group]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs() | table_shaped_argvs())
+def test_the_command_table_builds_the_namespace_argparse_builds(argv):
+    ns = _parse_table(argv)
+    if ns is not None:
+        assert vars(ns) == vars(_build_parser().parse_args(argv))
