@@ -186,12 +186,11 @@ def _cmd_gcd(ns, monoid):
     _require_naturals(monoid, "gcd")
     a = _positive_int(monoid, ns.a)
     b = _positive_int(monoid, ns.b)
-    g = euclid.gcd(a, b)
     cert = euclid.bezout(a, b)
-    payload = {"a": a, "b": b, "gcd": g,
+    payload = {"a": a, "b": b, "gcd": cert.g,
                "bezout": {"s": cert.s, "t": cert.t}}
-    lines = [f"gcd({a}, {b}) = {g}",
-             f"bezout: ({cert.s})*{a} + ({cert.t})*{b} = {g}"]
+    lines = [f"gcd({a}, {b}) = {cert.g}",
+             f"bezout: ({cert.s})*{a} + ({cert.t})*{b} = {cert.g}"]
     return 0, payload, [], lines
 
 

@@ -189,12 +189,8 @@ def check_loop_invariants(trace: EuclidTrace) -> LoopInvariantReport:
 
 
 def gcd(a: int, b: int) -> int:
-    """Greatest common divisor via the quotient-remainder loop."""
-    a = _check_positive(a, "a")
-    b = _check_positive(b, "b")
-    while b:
-        a, b = b, a % b
-    return a
+    """Greatest common divisor: the g of the Bezout certificate."""
+    return bezout(a, b).g
 
 
 def bezout(a: int, b: int) -> BezoutCertificate:

@@ -190,34 +190,28 @@ def is_irreducible(x: Element) -> bool:
 def factorizations(x: Element) -> list[Factorization]:
     """Every factorization of x into irreducibles, as sorted multisets.
 
-    The identity factors as the empty product.  Branching walks
-    irreducible divisors in nondecreasing norm order and never picks a
-    factor below the previous one, so each multiset appears exactly once;
-    the result list is itself canonically ordered.
+    The identity factors as the empty product.  The rule is the table's
+    (``DivisibilityTable.factorization_ids``), with divisors found by
+    definition: a factorization of y is its least factor p, an
+    irreducible divisor, followed by a factorization of y/p whose least
+    factor is p or more.  So each multiset appears exactly once, and as
+    p rises in norm order over lists already in order, the result list
+    is canonically ordered.
     """
+    memo: dict[Element, tuple[tuple[Element, ...], ...]] = {}
 
-    def irreducible_divisors(y: Element) -> list[Element]:
-        return [u for u in divisors(y, nontrivial=True) if is_irreducible(u)]
-
-    memo: dict[tuple[Element, Element | None], tuple[tuple[Element, ...], ...]] = {}
-
-    def descend(y: Element, floor: Element | None) -> tuple[tuple[Element, ...], ...]:
+    def descend(y: Element) -> tuple[tuple[Element, ...], ...]:
         if y.is_identity():
             return ((),)
-        key = (y, floor)
-        if key in memo:
-            return memo[key]
-        out = []
-        for p in irreducible_divisors(y):
-            if floor is not None and p < floor:
-                continue
-            rest = try_divide(y, p)
-            for tail in descend(rest, p):
-                out.append((p,) + tail)
-        memo[key] = tuple(out)
-        return memo[key]
+        if y not in memo:
+            memo[y] = tuple((p,) + tail
+                            for p in divisors(y, nontrivial=True)
+                            if is_irreducible(p)
+                            for tail in descend(try_divide(y, p))
+                            if not tail or tail[0] >= p)
+        return memo[y]
 
-    return [Factorization(x, fs) for fs in sorted(descend(x, None))]
+    return [Factorization(x, fs) for fs in descend(x)]
 
 
 def algebraic_gcd(a: Element, b: Element) -> GcdReport:

@@ -727,9 +727,10 @@ def test_argparse_is_imported_only_for_help_and_usage_errors():
 
 
 def test_module_entry_point():
-    import sys
+    import euclidlab
+    env = dict(os.environ, PYTHONPATH=str(Path(euclidlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "euclidlab", "gcd", "6", "15"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "gcd(6, 15) = 3" in proc.stdout
 

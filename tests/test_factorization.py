@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from euclidlab import (
     Congruence,
-    DivisibilityTable,
     Naturals,
     Quadratic,
     algebraic_gcd,
@@ -92,14 +91,6 @@ def test_factorizations_naturals_unique_and_sorted(n):
     factors = fs[0].factors
     assert list(factors) == sorted(factors)
     assert math.prod(p.value for p in factors) == n
-
-
-@pytest.mark.parametrize("monoid,bound", [(C13, 250), (Q2, 20)])
-def test_factorization_counts_agree_with_enumeration(monoid, bound):
-    # table-built factorization counts vs the branching enumerator
-    table = DivisibilityTable(monoid, bound)
-    for x, fs in zip(table.elements, table.factorization_ids):
-        assert len(factorizations(x)) == len(fs)
 
 
 # -- algebraic gcd ---------------------------------------------------------------
