@@ -87,7 +87,9 @@ class PropertyFlag:
 
     def witness_payloads(self) -> list[dict]:
         """The witnesses' JSON payloads, read off the table's per-index
-        payload list through the kind's one payload function."""
+        payload list, if any, through the kind's one payload function."""
+        if not self.ids:
+            return []
         at = self.table.payloads.__getitem__
         return [self.kind.payload(*self.kind.arguments(i, at))
                 for i in self.ids]
@@ -309,10 +311,9 @@ def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
     """Euclid's lemma over the table, on raw parts; see euclid_lemma_survey."""
     monoid = table.monoid
     mul_parts, divide_parts = monoid._mul_parts, monoid._try_divide_parts
-    elems, div_ids = table.elements, table.divisor_ids
-    parts = [e.parts for e in elems]
+    parts, div_ids = table.parts, table.divisor_ids
     norms = [monoid._norm_parts(x) for x in parts]
-    n = len(elems)
+    n = len(parts)
     # Up to sqrt(max norm) the sieve is needed; up to the element count,
     # which the enumeration ceiling bounds, it spares trial divisions.
     spf = _smallest_prime_factors(

@@ -201,6 +201,7 @@ class Monoid:
         raise NotImplementedError
 
     def _iter_parts_up_to(self, bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """The members of norm at most the bound, in increasing norm order."""
         raise NotImplementedError
 
     def _iter_root_parts(self, x: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -433,10 +434,9 @@ class Quadratic(Monoid):
         return total - 1  # drop (0, 0)
 
     def _iter_parts_up_to(self, bound):
-        for b, a_max in self._rows(bound):
-            for a in range(a_max + 1):
-                if a or b:
-                    yield (a, b)
+        return iter(sorted(((a, b) for b, a_max in self._rows(bound)
+                            for a in range(a_max + 1) if a or b),
+                           key=cmp_to_key(self._norm_cmp_parts)))
 
     def _iter_root_parts(self, x):
         # Row by row in b, a grows while u*u <= x; values grow with a and
@@ -497,21 +497,24 @@ def _check_ceiling(monoid: Monoid, bound: tuple[int, ...]) -> None:
             candidates=count, ceiling=ceiling)
 
 
+def _parts_up_to(monoid: Monoid, bound: int | Element) -> list[tuple[int, ...]]:
+    """The parts of ``enumerate_up_to``, in the same order."""
+    bound_parts = monoid._bound_parts(bound)
+    if monoid._norm_cmp_parts(bound_parts, monoid._identity_parts()) < 0:
+        raise InvalidInputError("bound must be at least the identity norm")
+    _check_ceiling(monoid, bound_parts)
+    return list(monoid._iter_parts_up_to(bound_parts))
+
+
 def enumerate_up_to(monoid: Monoid, bound: int | Element) -> list[Element]:
-    """All elements of norm at most ``bound``, in nondecreasing norm order.
+    """All elements of norm at most ``bound``, in increasing norm order.
 
     ``bound`` is an integer or an element of the monoid.  Raises
     BoundExceededError when more than DEFAULT_ENUMERATION_CEILING
     candidates would be inspected; never returns a silently truncated
     list.
     """
-    bound_parts = monoid._bound_parts(bound)
-    if monoid._norm_cmp_parts(bound_parts, monoid._identity_parts()) < 0:
-        raise InvalidInputError("bound must be at least the identity norm")
-    _check_ceiling(monoid, bound_parts)
-    parts = list(monoid._iter_parts_up_to(bound_parts))
-    parts.sort(key=cmp_to_key(monoid._norm_cmp_parts))
-    return [Element(monoid, p) for p in parts]
+    return [Element(monoid, p) for p in _parts_up_to(monoid, bound)]
 
 
 @lru_cache(maxsize=DIVISORS_CACHE_SIZE)
@@ -588,65 +591,82 @@ def _maximal_common_divisors(common: list, divisors_of) -> list:
 class DivisibilityTable:
     """Divisibility structure of all elements up to a norm bound.
 
-    Built by one pairwise product scan: every relation ``u * v == x`` with
-    ``norm(x) <= bound`` marks u and v as divisors of x and records the
-    quotients.  This is a second, independent route to divisor sets; the
-    definitional route is ``divisors`` above, and the test suite checks
-    they agree.
+    Built by one pairwise product scan: each relation ``u * v == x`` with
+    ``u <= v`` and ``norm(x) <= bound`` appends u to ``low[x]`` and v to
+    ``high[x]``, so ``low[x][k] * high[x][k] == x``, the first pair being
+    ``(identity, x)``.  The scan takes u in increasing order and meets x
+    at most once per u (cancellativity), so ``low[x]`` rises; elements
+    are positive reals under the real product, so the cofactors in
+    ``high[x]`` fall.  Of a divisor and its cofactor, the smaller is in
+    ``low[x]``: the pairs cover every divisor.  Divisor sets, quotients,
+    elements and payloads are built from them on first read.  This is a
+    second route to divisor sets, independent of ``divisors`` above.
     """
 
     def __init__(self, monoid: Monoid, bound: int | Element):
-        self.monoid = monoid
-        self.bound = bound
-        self.elements = enumerate_up_to(monoid, bound)
-        self.index = {e.parts: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        parts = [e.parts for e in self.elements]
+        self.monoid, self.bound = monoid, bound
+        self.parts = parts = _parts_up_to(monoid, bound)
+        self.index = {p: i for i, p in enumerate(parts)}
         mul, find = monoid._mul_parts, self.index.get
-        div_sets: list[set[int]] = [set() for _ in range(n)]
-        quotient: dict[tuple[int, int], int] = {}
+        self.low = low = [[] for _ in parts]
+        self.high = high = [[] for _ in parts]
         for ui, u in enumerate(parts):
-            for vi in range(ui, n):
+            for vi in range(ui, len(parts)):
                 # A product is a member, so it is listed exactly when it
                 # is within the bound; products grow with v.
                 pi = find(mul(u, parts[vi]))
                 if pi is None:
                     break
-                div_sets[pi].add(ui)
-                div_sets[pi].add(vi)
-                quotient[(pi, ui)] = vi
-                quotient[(pi, vi)] = ui
-        self.divisor_ids: list[frozenset[int]] = [frozenset(s) for s in div_sets]
-        self.quotient = quotient
+                low[pi].append(ui)
+                high[pi].append(vi)
+
+    @cached_property
+    def elements(self) -> list[Element]:
+        return [Element(self.monoid, p) for p in self.parts]
+
+    @cached_property
+    def divisor_ids(self) -> list[frozenset[int]]:
+        return [frozenset(lo + hi) for lo, hi in zip(self.low, self.high)]
+
+    @cached_property
+    def quotient(self) -> dict[tuple[int, int], int]:
+        """``quotient[(x, u)]`` is x/u, for each divisor u of x."""
+        quotient: dict[tuple[int, int], int] = {}
+        for xi, (lo, hi) in enumerate(zip(self.low, self.high)):
+            for ui, vi in zip(lo, hi):
+                quotient[(xi, ui)] = vi
+                quotient[(xi, vi)] = ui
+        return quotient
 
     def divides(self, ui: int, xi: int) -> bool:
         return ui in self.divisor_ids[xi]
 
     def is_irreducible(self, xi: int) -> bool:
-        return len(self.divisor_ids[xi]) == 2
+        return xi != 0 and len(self.low[xi]) == 1
 
     @cached_property
     def irreducible_divisors(self) -> list[list[int]]:
         """Each element's irreducible divisor ids, increasing."""
-        irreducible = [len(ds) == 2 for ds in self.divisor_ids]
+        irreducible = [False] + [len(lo) == 1 for lo in self.low[1:]]
         return [sorted(filter(irreducible.__getitem__, ds))
                 for ds in self.divisor_ids]
 
     @cached_property
     def factorization_ids(self) -> list[tuple[tuple[int, ...], ...]]:
         """Each element's factorizations into irreducibles, as sorted index
-        tuples in increasing order, read off the quotients.  Index order
-        is element order: the table is sorted by norm, and norms are
-        distinct.  A factorization of x is its least factor p, an
-        irreducible divisor, followed by a factorization of x/p whose
-        least factor is p or more; x/p comes before x, in norm order.
+        tuples in increasing order, read off the divisor pairs.  Index
+        order is element order: the table is sorted by norm, and norms
+        are distinct.  An irreducible x factors as ``(x,)``; any other
+        factorization is its least factor p, an irreducible divisor, then
+        a factorization of x/p whose least factor is p or more.  So p is
+        at most x/p < x: ``(p, x/p)`` is a pair of x past ``(identity, x)``.
         """
-        irreducibles, quotient = self.irreducible_divisors, self.quotient
+        low, high = self.low, self.high
         out: list[tuple[tuple[int, ...], ...]] = [((),)]  # the identity
-        for xi in range(1, len(self.elements)):
-            out.append(tuple((pi,) + tail for pi in irreducibles[xi]
-                             for tail in out[quotient[(xi, pi)]]
-                             if not tail or tail[0] >= pi))
+        for xi in range(1, len(low)):
+            out.append(((xi,),) if len(low[xi]) == 1 else tuple(
+                (pi,) + tail for pi, qi in zip(low[xi][1:], high[xi][1:])
+                if len(low[pi]) == 1 for tail in out[qi] if tail[0] >= pi))
         return out
 
     @cached_property
@@ -719,4 +739,4 @@ class DivisibilityTable:
     @cached_property
     def payloads(self) -> list[int | list[int]]:
         """Each element's JSON payload, by index."""
-        return [e.to_payload() for e in self.elements]
+        return list(map(self.monoid._parts_payload, self.parts))

@@ -457,9 +457,11 @@ def transitivity_survey(monoid: Monoid, bound: int) -> SurveyReport:
 
 def _transitivity_flag(table: DivisibilityTable) -> PropertyFlag:
     """Transitivity over the table; see transitivity_survey."""
+    ids, pairs = [], table.pairs_without_gcd
+    if not pairs:  # every pair has a gcd: read no divisor set
+        return PropertyFlag(table, TransitivityWitness, ids)
     div_ids, quotient = table.divisor_ids, table.quotient
-    ids = []
-    for ci, di, maximal in table.pairs_without_gcd:
+    for ci, di, maximal in pairs:
         # Bit k of above[x] is set when x divides maximal[k].  Every
         # common divisor divides a maximal one, so the keys are exactly
         # the common divisors, walked in id order.

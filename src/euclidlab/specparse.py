@@ -17,6 +17,7 @@ radical form "a+b*sqrt(d)".
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import BoundExceededError, InvalidInputError, MonoidSpecSyntaxError
 from .monoids import Congruence, Element, Monoid, Naturals, Quadratic
@@ -80,11 +81,13 @@ def _describe(text: str) -> str:
     return repr(text) if text else "end of input"
 
 
+@lru_cache(maxsize=64)  # a process mostly repeats a few spec texts
 def parse_monoid_spec(text: str) -> Monoid:
     """Parse a spec text into a validated monoid.
 
     Closure of congruence classes and square-freeness of radicands are
     checked by the constructors, so a parsed monoid is always usable.
+    Monoids are cached by text; refusals are raised afresh every time.
     """
     tokens = iter(_tokenize(text))
     head, offset = next(tokens)

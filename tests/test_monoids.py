@@ -21,11 +21,12 @@ from euclidlab import (
     contains,
     divisors,
     enumerate_up_to,
+    is_irreducible,
     mul,
     three_property_survey,
     try_divide,
 )
-from euclidlab import euclid, monoids
+from euclidlab import euclid, monoids, specparse
 from euclidlab.monoids import _square_free
 
 NAT = Naturals()
@@ -224,10 +225,14 @@ def test_enumeration_matches_oracle_membership():
     assert got == set(oracles.congruence_members(1, 3, 100))
 
 
-def test_enumeration_strictly_ordered_quadratic():
-    elems = enumerate_up_to(Q2, 25)
+@pytest.mark.parametrize("monoid,bound", [
+    (Q2, 25), (Quadratic(3), 25), (Quadratic(5), 30), (Quadratic(7), 30),
+    (C13, 300), (Congruence(4, 6), 300)])
+def test_enumeration_strictly_ordered_quadratic(monoid, bound):
+    # The kernel yields members in norm order; no enumeration sorts after it.
+    elems = enumerate_up_to(monoid, bound)
     for prev, cur in zip(elems, elems[1:]):
-        assert prev < cur  # no norm ties: sqrt(2) is irrational
+        assert prev < cur  # no norm ties: sqrt(d) is irrational
 
 
 def test_enumeration_bound_can_be_an_element():
@@ -400,19 +405,32 @@ def test_divisor_scan_divides_only_norm_divisors_up_to_the_root(
 
 
 def test_caches_are_bounded():
-    for cached in (monoids._divisors_cached, euclid._divisor_set):
+    for cached in (monoids._divisors_cached, euclid._divisor_set,
+                   specparse.parse_monoid_spec):
         assert cached.cache_info().maxsize is not None
 
 
 # -- the product-scan table agrees with the definitional route -------------------
 
-@pytest.mark.parametrize("monoid,bound", [(NAT, 60), (C13, 250), (Q2, 20)])
+@pytest.mark.parametrize("monoid,bound", [
+    (NAT, 60), (C13, 250), (Q2, 20), (NAT, 200), (C13, 400),
+    (Congruence(4, 6), 400), (Quadratic(3), 20), (Quadratic(5), 24),
+    (Quadratic(7), 24)])
 def test_divisibility_table_agrees_with_divisors(monoid, bound):
     table = DivisibilityTable(monoid, bound)
-    for i, x in enumerate(table.elements):
-        via_table = {table.elements[j].parts for j in table.divisor_ids[i]}
+    elems = table.elements
+    for i, x in enumerate(elems):
+        via_table = {elems[j].parts for j in table.divisor_ids[i]}
         via_definition = {d.parts for d in divisors(x)}
         assert via_table == via_definition
+        # The scan's pairs: low rises, high falls, each pair multiplies
+        # to x, and together they are exactly x's divisors.
+        low, high = table.low[i], table.high[i]
+        assert low == sorted(set(low)) and high == sorted(set(high))[::-1]
+        assert all(try_divide(x, elems[u]) == elems[v]
+                   for u, v in zip(low, high))
+        assert {elems[j].parts for j in low + high} == via_definition
+        assert table.is_irreducible(i) == is_irreducible(x)
     for (xi, ui), vi in table.quotient.items():
         assert table.elements[ui] * table.elements[vi] == table.elements[xi]
 

@@ -41,3 +41,15 @@ def test_long_spec_is_refused_promptly_at_its_second_token():
     assert time.perf_counter() - start < 1
     assert (err.value.line, err.value.column) == (1, 5)
     assert "unexpected trailing input 'nat'" in str(err.value)
+
+
+def test_parse_is_cached_but_refusals_are_not():
+    messages = []
+    for _ in range(2):
+        with pytest.raises(MonoidSpecSyntaxError) as err:
+            parse_monoid_spec("congruence 1 mod x")
+        messages.append(str(err.value))
+    assert messages == ["syntax error at line 1, column 18: "
+                        "expected a modulus, got 'x'"] * 2
+    assert parse_monoid_spec("quadratic 3") == Quadratic(3)
+    assert parse_monoid_spec("quadratic 3") == Quadratic(3)
