@@ -10,8 +10,9 @@ Three monoids are built in:
   not both zero, for a square-free radicand ``d >= 2``.
 
 All arithmetic is exact: arbitrary-precision integers throughout, and
-order comparisons involving ``sqrt(d)`` are decided by sign analysis and
-squaring, never by floating point.
+order comparisons involving ``sqrt(d)`` are decided by one integer
+identity, never by floating point: ``x + y*sqrt(d)`` has the sign of
+``x*|x| + d*y*|y|``.
 """
 
 from __future__ import annotations
@@ -45,28 +46,6 @@ def _require_int(value: object, what: str) -> int:
 
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
-
-
-def _sign_with_radical(x: int, y: int, d: int) -> int:
-    """Sign of ``x + y*sqrt(d)`` for integers x, y and square-free d >= 2."""
-    if y == 0:
-        return _sign(x)
-    if x == 0:
-        return _sign(y)
-    if x > 0 and y > 0:
-        return 1
-    if x < 0 and y < 0:
-        return -1
-    # Opposite signs: the comparison survives squaring.
-    lhs, rhs = x * x, d * y * y
-    if x > 0:  # y < 0: positive iff x > |y|*sqrt(d)
-        return _sign(lhs - rhs)
-    return _sign(rhs - lhs)  # x < 0, y > 0: positive iff |x| < y*sqrt(d)
-
-
-def _ceil_sqrt(n: int) -> int:
-    """ceil(sqrt(n)) for n >= 0."""
-    return isqrt(n - 1) + 1 if n > 0 else 0
 
 
 @total_ordering
@@ -196,8 +175,8 @@ class Monoid:
             return bound.parts
         return (_require_int(bound, "bound"),) + self._identity_parts()[1:]
 
-    def _count_up_to(self, bound: tuple[int, ...], ceiling: int) -> int:
-        """Candidate count for the bound; may raise BoundExceededError early."""
+    def _count_up_to(self, bound: tuple[int, ...]) -> int:
+        """The member count up to the bound, or a lower bound past the ceiling."""
         raise NotImplementedError
 
     def _iter_parts_up_to(self, bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -257,7 +236,7 @@ class _ScalarMonoid(Monoid):
     def _norm_parts(self, p):
         return p[0]
 
-    def _count_up_to(self, bound, ceiling):
+    def _count_up_to(self, bound):
         n = bound[0]
         s = self._least_member()
         in_class = 0 if s > n else (n - s) // self.modulus + 1
@@ -355,7 +334,7 @@ class Quadratic(Monoid):
 
     The radicand must be square-free and at least 2, which keeps
     ``sqrt(d)`` irrational; distinct pairs then have distinct values, and
-    sign analysis plus squaring decides every comparison exactly.
+    one integer identity decides every comparison exactly.
     """
 
     radicand: int = 2
@@ -404,7 +383,10 @@ class Quadratic(Monoid):
         return (e, f)
 
     def _norm_cmp_parts(self, p, q):
-        return _sign_with_radical(p[0] - q[0], p[1] - q[1], self.radicand)
+        # t -> t*|t| is odd and strictly increasing, so x > -y*sqrt(r)
+        # exactly when x*|x| > -r*y*|y|: x + y*sqrt(r) has that sign.
+        x, y = p[0] - q[0], p[1] - q[1]
+        return _sign(x * abs(x) + self.radicand * y * abs(y))
 
     def _norm_parts(self, p):
         # The field norm |a^2 - r*b^2|: nonzero because sqrt(r) is irrational.
@@ -412,26 +394,25 @@ class Quadratic(Monoid):
         return abs(a * a - self.radicand * b * b)
 
     def _rows(self, bound: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-        # (b, a_max) for each row b holding some a >= 0 with
-        # a + b*sqrt(r) <= A + B*sqrt(r), a_max the largest such a.  The
-        # last row is the largest b with b*sqrt(r) <= A + B*sqrt(r).
+        # (b, a_max) for each row b holding some a >= 0 with a + b*sqrt(r)
+        # <= A + B*sqrt(r): a_max = A + floor(k*sqrt(r)), k = B - b.  r*k*k
+        # is no square for k != 0, so that floor is isqrt(r*k*k) for k >= 0
+        # and ~isqrt(r*k*k) for k < 0.  Up to the last row, b = B +
+        # floor(A/sqrt(r)), -k*sqrt(r) <= A: a_max = A - ceil(-k*sqrt(r)) >= 0.
         a_cap, b_cap = bound
         r = self.radicand
         for b in range(b_cap + isqrt(a_cap * a_cap // r) + 1):
             k = b_cap - b
-            a_max = (a_cap + isqrt(r * k * k) if k >= 0
-                     else a_cap - _ceil_sqrt(r * k * k))
-            if a_max >= 0:
-                yield b, a_max
+            f = isqrt(r * k * k)
+            yield b, a_cap + (f if b <= b_cap else ~f)
 
-    def _count_up_to(self, bound, ceiling):
-        total = 0
+    def _count_up_to(self, bound):
+        total = -1  # (0, 0) is no member
         for _, a_max in self._rows(bound):
             total += a_max + 1
-            if total > ceiling + 1:
-                # Enough to know the ceiling is blown; stop counting.
-                return total
-        return total - 1  # drop (0, 0)
+            if total > DEFAULT_ENUMERATION_CEILING:
+                break  # enough to know the ceiling is passed
+        return total
 
     def _iter_parts_up_to(self, bound):
         return iter(sorted(((a, b) for b, a_max in self._rows(bound)
@@ -489,11 +470,11 @@ def _check_ceiling(monoid: Monoid, bound: tuple[int, ...]) -> None:
     """Raise BoundExceededError when more than DEFAULT_ENUMERATION_CEILING
     candidates have norm at most the bound."""
     ceiling = DEFAULT_ENUMERATION_CEILING
-    count = monoid._count_up_to(bound, ceiling)
+    count = monoid._count_up_to(bound)
     if count > ceiling:
         raise BoundExceededError(
             f"enumeration up to norm {monoid._render_parts(bound)} needs "
-            f"{count} candidates, over the ceiling of {ceiling}",
+            f"at least {count} candidates, over the ceiling of {ceiling}",
             candidates=count, ceiling=ceiling)
 
 
@@ -604,7 +585,7 @@ class DivisibilityTable:
     """
 
     def __init__(self, monoid: Monoid, bound: int | Element):
-        self.monoid, self.bound = monoid, bound
+        self.monoid = monoid
         self.parts = parts = _parts_up_to(monoid, bound)
         self.index = {p: i for i, p in enumerate(parts)}
         mul, find = monoid._mul_parts, self.index.get
@@ -643,13 +624,6 @@ class DivisibilityTable:
 
     def is_irreducible(self, xi: int) -> bool:
         return xi != 0 and len(self.low[xi]) == 1
-
-    @cached_property
-    def irreducible_divisors(self) -> list[list[int]]:
-        """Each element's irreducible divisor ids, increasing."""
-        irreducible = [False] + [len(lo) == 1 for lo in self.low[1:]]
-        return [sorted(filter(irreducible.__getitem__, ds))
-                for ds in self.divisor_ids]
 
     @cached_property
     def factorization_ids(self) -> list[tuple[tuple[int, ...], ...]]:
@@ -696,8 +670,10 @@ class DivisibilityTable:
         top is a gcd.  With no shared irreducible the identity is the
         gcd.  So the scan indexes the elements with several
         factorizations by each pair {p, q} of their distinct irreducible
-        divisors, and each a walks the lists of its own pairs.  A
-        uniquely factoring a keeps every b it finds; an a with several
+        divisors, and each a walks the lists of its own pairs.  These
+        are the factors of its factorizations: p | x gives x = p*(x/p),
+        and p joined to a factorization of x/p factors x.  A uniquely
+        factoring a keeps every b it finds; an a with several
         factorizations keeps only b > a, its pairs with smaller such
         elements being kept when those were walked.  So each pair is
         found once, and one sort puts the result in ``(ai, bi)`` order;
@@ -710,10 +686,12 @@ class DivisibilityTable:
         all of them: when ``len(divisor_ids[g])`` equals the number of
         common divisors.
         """
-        several = [len(fs) > 1 for fs in self.factorization_ids]
+        factorizations = self.factorization_ids
+        several = [len(fs) > 1 for fs in factorizations]
         if not any(several):
             return []
-        div_ids, irreducibles = self.divisor_ids, self.irreducible_divisors
+        irreducibles = [sorted({p for f in fs for p in f}) for fs in factorizations]
+        div_ids = self.divisor_ids
         divisors_of = div_ids.__getitem__
         by_pair: dict[tuple[int, int], list[int]] = {}
         for xi, irr in enumerate(irreducibles):

@@ -2,6 +2,7 @@
 
 import inspect
 from functools import cmp_to_key
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -236,10 +237,14 @@ def test_enumeration_strictly_ordered_quadratic(monoid, bound):
 
 
 def test_enumeration_bound_can_be_an_element():
-    bound = Q2.element(3, 1)
-    got = [e.pair for e in enumerate_up_to(Q2, bound)]
-    assert got[-1] == (3, 1)
-    assert set(got) == set(oracles.quad_members(2, (3, 1)))
+    for d, pair in [(2, (3, 1)), (2, (0, 6)), (2, (9, 4)), (3, (2, 3)),
+                    (3, (0, 5)), (5, (4, 2)), (5, (1, 4)), (7, (0, 3)),
+                    (7, (6, 2))]:
+        monoid = Quadratic(d)
+        got = [e.pair for e in enumerate_up_to(monoid, monoid.element(*pair))]
+        assert got[-1] == pair, (d, pair)
+        assert got == sorted(oracles.quad_members(d, pair),
+                             key=quad_norm_order(d)), (d, pair)
 
 
 @given(members_q2, members_q2)
@@ -257,6 +262,14 @@ def test_enumeration_ceiling_raises():
     assert err.value.candidates == 99_999_999
     assert err.value.ceiling == 1_000_000
     assert len(enumerate_up_to(NAT, 100)) == 100
+    # The quadratic count stops at the first row past the ceiling, so it
+    # is a lower bound: within the box a <= A, b <= A/sqrt(2) of pairs.
+    for call in (lambda: enumerate_up_to(Q2, 2000),
+                 lambda: divisors(Q2.element(2000, 0))):
+        with pytest.raises(BoundExceededError) as err:
+            call()
+        assert 1_000_000 < err.value.candidates <= 2001 * (isqrt(2000**2 // 2) + 1)
+        assert f"needs at least {err.value.candidates} candidates" in str(err.value)
 
 
 def no_scan(self, parts):
@@ -463,6 +476,22 @@ def test_norm_is_multiplicative_and_never_zero(monoid, data):
     assert norm(p) >= 1
 
 
+@pytest.mark.parametrize("monoid", NORM_MONOIDS[3:], ids=lambda m: m.spec_text())
+@given(data=st.data())
+def test_quadratic_order_matches_radical_sign(monoid, data):
+    # Free draws, and pairs differing by (-m, n) with m next to n*sqrt(d),
+    # the nearest a difference comes to a tie.
+    d = monoid.radicand
+    p, q = data.draw(raw_members(monoid)), data.draw(raw_members(monoid))
+    n, x, y = (data.draw(st.integers(1, 10**6)) for _ in range(3))
+    m = isqrt(d * n * n) + data.draw(st.integers(0, 1))
+    near, far = (x - 1, y + n), (x - 1 + m, y)
+    for u, v in [(p, q), (q, p), (near, far), (far, near), (p, p)]:
+        want = oracles.radical_sign(u[0] - v[0], u[1] - v[1], d)
+        assert monoid._norm_cmp_parts(u, v) == want
+        assert (monoid.element(*u) < monoid.element(*v)) == (want < 0)
+
+
 @pytest.mark.parametrize("monoid,bound", [
     (NAT, 200), (C13, 400), (Congruence(4, 6), 400), (Quadratic(2), 20),
     (Quadratic(3), 20), (Quadratic(5), 24), (Quadratic(7), 24)])
@@ -535,9 +564,8 @@ def test_naturals_agree_with_congruence_1_mod_1():
         for a in range(1, 301):
             assert (NAT._try_divide_parts((b,), (a,))
                     == C11._try_divide_parts((b,), (a,))), (b, a)
-    ceiling = monoids.DEFAULT_ENUMERATION_CEILING
     for n in range(1, 2001):
-        assert NAT._count_up_to((n,), ceiling) == C11._count_up_to((n,), ceiling) == n
+        assert NAT._count_up_to((n,)) == C11._count_up_to((n,)) == n
         assert ([d.parts for d in divisors(NAT.element(n))]
                 == [d.parts for d in divisors(C11.element(n))])
     assert ([e.parts for e in enumerate_up_to(NAT, 2000)]
