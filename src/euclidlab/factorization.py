@@ -15,6 +15,7 @@ by a concrete witness.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, isqrt
@@ -291,17 +292,19 @@ def euclid_lemma_survey(monoid: Monoid, bound: int) -> PropertyFlag:
 
     An irreducible p with N(p) > 1 is skipped outright when every
     element whose norm shares a rational prime with N(p) is a multiple
-    of p.  Then g_a = 1 for every a that p does not divide, and N(p)
-    does not divide g_a*g_b = 1, so no pair of the scan passes the test.
-    The elements under each prime come from one index, built by
-    factoring every norm with a smallest-prime-factor sieve up to the
-    square root of the largest norm N, so it holds about sqrt(N) entries,
-    not N; a sqrt(N) past the ceiling raises BoundExceededError.  An
-    irreducible of norm 1, such as 1+sqrt(2), is never skipped: N(p) = 1
-    divides every product.  In the naturals and in congruence 1 mod 2
-    every irreducible is a prime p = N(p), and the elements whose norm
-    p divides are its multiples, so every irreducible is skipped and no
-    gcd runs either.
+    of p: then g_a = 1 for every a that p does not divide, and N(p) does
+    not divide g_a*g_b = 1.  The multiples of p in the table are p*v for
+    its k least v (a product is a member, so it is in the table when it
+    is within the bound, and products grow with v): one bisection finds k.
+    N(p) divides their norms, so p is skipped exactly when each prime q
+    of N(p) divides k norms.  Norms are factored by a smallest-prime-
+    factor sieve up to sqrt(N), N the largest norm; a sqrt(N) past the
+    ceiling raises BoundExceededError.  An irreducible of norm 1, such
+    as 1+sqrt(2), is never skipped: N(p) = 1 divides every product.  In
+    the naturals and in congruence 1 mod 2 every irreducible is a prime
+    p = N(p) whose multiples are the elements whose norm p divides, so
+    every irreducible is skipped: no set of multiples is built and no
+    gcd runs.
     """
     table = DivisibilityTable(monoid, bound)
     return _euclid_lemma_flag(table)
@@ -311,27 +314,24 @@ def _euclid_lemma_flag(table: DivisibilityTable) -> PropertyFlag:
     """Euclid's lemma over the table, on raw parts; see euclid_lemma_survey."""
     monoid = table.monoid
     mul_parts, divide_parts = monoid._mul_parts, monoid._try_divide_parts
-    parts, div_ids = table.parts, table.divisor_ids
+    parts, index = table.parts, table.index
     norms = [monoid._norm_parts(x) for x in parts]
     n = len(parts)
     # Up to sqrt(max norm) the sieve is needed; up to the element count,
     # which the enumeration ceiling bounds, it spares trial divisions.
     spf = _smallest_prime_factors(
         max(_trial_divisor_limit(max(norms), "the factorization") + 1, n))
-    # Each rational prime q, with the elements whose norm q divides.
-    by_prime: dict[int, list[int]] = {}
-    for i, norm in enumerate(norms):
-        for q in _prime_factors(norm, spf):
-            by_prime.setdefault(q, []).append(i)
+    # Each rational prime q, with the number of norms q divides.
+    count = Counter(q for norm in norms for q in _prime_factors(norm, spf))
     for pi in range(n):
         if not table.is_irreducible(pi):
             continue
         p, norm_p = parts[pi], norms[pi]
-        if norm_p > 1 and all(pi in div_ids[i]
-                              for q in _prime_factors(norm_p, spf)
-                              for i in by_prime[q]):
+        k = bisect_left(parts, True, key=lambda v: mul_parts(p, v) not in index)
+        if norm_p > 1 and all(count[q] == k for q in _prime_factors(norm_p, spf)):
             continue
-        coprime = [i for i in range(n) if pi not in div_ids[i]]
+        multiples = {index[mul_parts(p, v)] for v in parts[:k]}
+        coprime = [i for i in range(n) if i not in multiples]
         gs = [gcd(norms[i], norm_p) for i in coprime]
         distinct = set(gs)
         # For each g with any admissible partner, the positions in coprime

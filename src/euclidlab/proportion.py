@@ -471,8 +471,8 @@ def _transitivity_flag(table: DivisibilityTable) -> PropertyFlag:
                 above[x] = above.get(x, 0) | 1 << k
         rows = [(above[x], quotient[(ci, x)], quotient[(di, x)])
                 for x in sorted(above)]
+        # Rows rise in x, so x1 < x2; ids follow values, so c/x2 < c/x1.
         for (above1, c1, d1), (above2, c2, d2) in combinations(rows, 2):
-            if not above1 & above2:  # c/x1 != c/x2, as x1 != x2
-                ids.append((c1, d1, ci, di, c2, d2) if c1 < c2
-                           else (c2, d2, ci, di, c1, d1))
+            if not above1 & above2:
+                ids.append((c2, d2, ci, di, c1, d1))
     return PropertyFlag(table, TransitivityWitness, ids)

@@ -574,6 +574,14 @@ def test_process_exit_2_reports_on_stderr():
     assert proc.stdout == "" and proc.stderr != ""
 
 
+@pytest.mark.parametrize("monoid", [[], Q2], ids=["nat", "quadratic 2"])
+def test_process_survey_bound_below_the_identity_exit_2(monoid):
+    proc = run_process(["survey", "--three-properties", "--bound", "0"] + monoid)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("euclidlab: error: "
+                           "bound must be at least the identity norm\n")
+
+
 def test_process_exit_3_reports_on_stderr():
     proc = run_process(["divisors", "99999999"])
     assert proc.returncode == 3

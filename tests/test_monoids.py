@@ -245,6 +245,8 @@ def test_enumeration_bound_can_be_an_element():
         assert got[-1] == pair, (d, pair)
         assert got == sorted(oracles.quad_members(d, pair),
                              key=quad_norm_order(d)), (d, pair)
+    with pytest.raises(MonoidMismatchError):
+        enumerate_up_to(Q2, NAT.element(5))
 
 
 @given(members_q2, members_q2)

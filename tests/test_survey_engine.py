@@ -289,6 +289,9 @@ def test_half_square_lemma_scan_matches_full_square(monoid, bound, space):
     (Q7, 16, lambda b: quadratic_space(7, b)),
     (Q5, 20, lambda b: quadratic_space(5, b)),
     (C13, 250, lambda b: scalar_space(1, 3, b)),
+    # At 30 the irreducible 9 has one non-multiple whose norm 3 divides,
+    # 21, and 9 | 21*21: a skip that tolerates one such element misses it.
+    (C14, 30, lambda b: scalar_space(1, 4, b)),
 ])
 def test_norm_pruned_scan_matches_full_square_per_irreducible(
         monkeypatch, monoid, bound, space):
@@ -376,6 +379,22 @@ def test_euclid_scan_divides_nothing_where_irreducibles_are_primes(
     assert calls == [] and gcds == []
     assert not euclid_lemma_survey(Q2, 20).holds
     assert calls and gcds  # the counters see the work where pairs pass
+
+
+def test_euclid_lemma_flag_builds_no_divisor_set(monkeypatch):
+    # The flag finds p's multiples as p's own products in the table.
+    for monoid, bound in [(NAT, 3000), (C14, 400), (Q2, 40)]:
+        table = DivisibilityTable(monoid, bound)
+        _euclid_lemma_flag(table)
+        assert "divisor_ids" not in vars(table), (monoid, bound)
+
+    def refuse(self):
+        raise AssertionError("built a divisor set")
+
+    # Where every element factors uniquely, no flag reads a divisor set.
+    monkeypatch.setattr(DivisibilityTable, "divisor_ids", property(refuse))
+    report = three_property_survey(NAT, 3000)
+    assert all(flag.holds for flag in report.flags.values())
 
 
 def test_euclid_lemma_sieve_reaches_the_element_count(monkeypatch):
